@@ -106,18 +106,13 @@ class MessageObserver {
   }
 };
 
-struct NetworkConfig {
-  /// Messages allowed per directed edge per round (the paper's B; 1 is the
-  /// strict CONGEST setting used everywhere in libdhc).
-  std::uint32_t edge_capacity = 1;
-
-  /// Hard stop: abort the run after this many rounds (safety net; a run that
-  /// trips it reports hit_round_limit instead of looping forever).
-  std::uint64_t max_rounds = 50'000'000;
-
-  /// Seed from which all per-node RNG streams are derived.
-  std::uint64_t seed = 0;
-
+/// The execution knobs every CONGEST run takes, declared once: NetworkConfig
+/// and every solver config (core::DraConfig, Dhc1Config, Dhc2Config,
+/// TurauConfig, UpcastConfig) inherit them, so a solver hands its slice to
+/// the engine unchanged (network_config()).  The execution models are
+/// attachments here, not code paths: the k-machine model is an `observer`
+/// (kmachine::KMachineCost), the async model a `faults` plan.
+struct EngineOptions {
   /// Optional message tap (not owned; must outlive the run).
   MessageObserver* observer = nullptr;
 
@@ -126,10 +121,13 @@ struct NetworkConfig {
   /// stepper.  Results are bitwise identical for every value.
   std::uint32_t shards = 0;
 
-  /// Minimum active nodes *per shard* before a round is dispatched to the
-  /// pool; smaller rounds step sequentially (identical results, no dispatch
-  /// overhead).  0 resolves DHC_SHARD_GRAIN (absent/invalid → 32).
-  std::uint32_t shard_grain = 0;
+  /// Optional fault plan (not owned; must outlive the run).  nullptr — the
+  /// default — is the synchronous CONGEST model.  Non-null switches the
+  /// engine to the async delivery regime (DESIGN.md §8): sends are routed
+  /// through the plan's drop/delay decisions into a message delay wheel and
+  /// delivered when their latency elapses; crashed nodes neither step nor
+  /// receive.
+  const FaultPlan* faults = nullptr;
 
   /// Optional flight-recorder sink fed one RoundTrace per executed round
   /// plus phase/barrier marks (not owned; must outlive the run).  Per-round
@@ -141,6 +139,24 @@ struct NetworkConfig {
   /// exact-vector mode every golden test pins; kStreaming trades exact
   /// per-node vectors for compact accumulators + quantile summaries.
   NodeStatsMode node_stats = NodeStatsMode::kFull;
+};
+
+struct NetworkConfig : EngineOptions {
+  /// Messages allowed per directed edge per round (the paper's B; 1 is the
+  /// strict CONGEST setting used everywhere in libdhc).
+  std::uint32_t edge_capacity = 1;
+
+  /// Hard stop: abort the run after this many rounds (safety net; a run that
+  /// trips it reports hit_round_limit instead of looping forever).
+  std::uint64_t max_rounds = 50'000'000;
+
+  /// Seed from which all per-node RNG streams are derived.
+  std::uint64_t seed = 0;
+
+  /// Minimum active nodes *per shard* before a round is dispatched to the
+  /// pool; smaller rounds step sequentially (identical results, no dispatch
+  /// overhead).  0 resolves DHC_SHARD_GRAIN (absent/invalid → 32).
+  std::uint32_t shard_grain = 0;
 
   /// Byte budget for the message arenas (outbox log, inbox arena, async
   /// delay wheel).  0 resolves DHC_ARENA_BUDGET (absent → unbounded).  When
@@ -151,15 +167,15 @@ struct NetworkConfig {
   /// every setting — Metrics::arena_bytes_peak reports logical occupancy,
   /// which the budget never changes.
   std::uint64_t arena_budget_bytes = 0;
-
-  /// Optional fault plan (not owned; must outlive the run).  nullptr — the
-  /// default — is the synchronous CONGEST model, bit-for-bit as before.
-  /// Non-null switches the engine to the async delivery regime (DESIGN.md
-  /// §8): sends are routed through the plan's drop/delay decisions into a
-  /// message delay wheel and delivered when their latency elapses; crashed
-  /// nodes neither step nor receive.
-  const FaultPlan* faults = nullptr;
 };
+
+/// The NetworkConfig a solver run uses: its engine options plus the seed.
+inline NetworkConfig network_config(const EngineOptions& engine, std::uint64_t seed) {
+  NetworkConfig cfg;
+  static_cast<EngineOptions&>(cfg) = engine;
+  cfg.seed = seed;
+  return cfg;
+}
 
 class Network;
 

@@ -692,14 +692,7 @@ Result run_dhc1(const graph::Graph& g, std::uint64_t seed, const Dhc1Config& cfg
   }
   num_colors = std::max<std::uint32_t>(num_colors, 3);
 
-  congest::NetworkConfig net_cfg;
-  net_cfg.seed = seed;
-  net_cfg.observer = cfg.observer;
-  net_cfg.shards = cfg.shards;
-  net_cfg.trace = cfg.trace;
-  net_cfg.node_stats = cfg.node_stats;
-  net_cfg.faults = cfg.faults;
-  congest::Network net(g, net_cfg);
+  congest::Network net(g, congest::network_config(cfg, seed));
   Dhc1Protocol protocol(n, num_colors, cfg);
   result.metrics = net.run(protocol);
 
@@ -717,26 +710,11 @@ Result run_dhc1(const graph::Graph& g, std::uint64_t seed, const Dhc1Config& cfg
         static_cast<double>(protocol.global_setup_->tree_depth(0));
   }
 
-  if (result.metrics.hit_round_limit) {
-    result.failure_reason = "round limit exceeded";
-    return result;
+  std::string failure = protocol.failure_;
+  if (failure.empty() && protocol.hyper_done_ != 1) {
+    failure = "Phase 2 failed: hypernode rotation aborted";
   }
-  if (!protocol.failure_.empty()) {
-    result.failure_reason = protocol.failure_;
-    return result;
-  }
-  if (protocol.hyper_done_ != 1) {
-    result.failure_reason = "Phase 2 failed: hypernode rotation aborted";
-    return result;
-  }
-
-  result.cycle = protocol.final_incidence();
-  const auto verdict = graph::verify_cycle_incidence(g, result.cycle);
-  if (!verdict.ok()) {
-    result.failure_reason = "final cycle invalid: " + *verdict.failure;
-    return result;
-  }
-  result.success = true;
+  conclude(result, g, failure, [&] { return protocol.final_incidence(); });
   return result;
 }
 

@@ -38,7 +38,7 @@
 
 namespace dhc::core {
 
-struct Dhc1Config {
+struct Dhc1Config : congest::EngineOptions {
   /// Partition count; defaults to round(√n) per the paper.
   std::uint32_t num_colors_override = 0;
 
@@ -47,29 +47,10 @@ struct Dhc1Config {
   double hyper_step_multiplier = 32.0;
 
   /// Independent Phase-2 retries (hypernode rotation restarts with fresh
-  /// randomness when a port starves; see DraConfig::max_attempts).
+  /// randomness when a port starves; see DraParams::max_attempts).
   std::uint32_t max_hyper_attempts = 8;
 
-  DraConfig dra;
-
-  /// Optional message tap for alternative cost models (k-machine, §IV; not
-  /// owned, must outlive the run).
-  congest::MessageObserver* observer = nullptr;
-
-  /// Simulator shard count for intra-trial parallelism (0 = the DHC_SHARDS
-  /// environment default; results are bitwise identical for every value —
-  /// see congest::NetworkConfig::shards).
-  std::uint32_t shards = 0;
-
-  /// Optional fault plan: non-null runs the solver under the async delivery
-  /// regime (--model=async; congest/fault_plan.h).  Not owned.
-  const congest::FaultPlan* faults = nullptr;
-
-  /// Optional flight-recorder sink (not owned, must outlive the run).
-  congest::TraceSink* trace = nullptr;
-
-  /// Per-node accounting mode (full vectors / streaming digests / off).
-  congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
+  DraParams dra;
 };
 
 /// Runs DHC1 end to end.  On success the cycle is in per-node incident-edge

@@ -568,14 +568,7 @@ Result run_dhc2(const graph::Graph& g, std::uint64_t seed, const Dhc2Config& cfg
     num_colors = std::max<std::uint32_t>(num_colors, 1);
   }
 
-  congest::NetworkConfig net_cfg;
-  net_cfg.seed = seed;
-  net_cfg.observer = cfg.observer;
-  net_cfg.shards = cfg.shards;
-  net_cfg.trace = cfg.trace;
-  net_cfg.node_stats = cfg.node_stats;
-  net_cfg.faults = cfg.faults;
-  congest::Network net(g, net_cfg);
+  congest::Network net(g, congest::network_config(cfg, seed));
   Dhc2Protocol protocol(n, num_colors, cfg);
   result.metrics = net.run(protocol);
 
@@ -611,22 +604,9 @@ Result run_dhc2(const graph::Graph& g, std::uint64_t seed, const Dhc2Config& cfg
         static_cast<double>(protocol.global_setup_->tree_depth(0));
   }
 
-  if (result.metrics.hit_round_limit) {
-    result.failure_reason = "round limit exceeded";
-    return result;
-  }
-  if (!protocol.failure_.empty()) {
-    result.failure_reason = protocol.failure_;
-    return result;
-  }
-
-  result.cycle = protocol.merge_ ? protocol.merge_->incidence() : protocol.dra_->incidence();
-  const auto verdict = graph::verify_cycle_incidence(g, result.cycle);
-  if (!verdict.ok()) {
-    result.failure_reason = "final cycle invalid: " + *verdict.failure;
-    return result;
-  }
-  result.success = true;
+  conclude(result, g, protocol.failure_, [&] {
+    return protocol.merge_ ? protocol.merge_->incidence() : protocol.dra_->incidence();
+  });
   return result;
 }
 

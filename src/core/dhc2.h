@@ -45,7 +45,7 @@ namespace dhc::core {
 
 enum class MergeStrategy : std::uint8_t { kMinForward, kFullQueue };
 
-struct Dhc2Config {
+struct Dhc2Config : congest::EngineOptions {
   /// Density exponent δ: the graph is expected to have p ≈ c·ln n / n^δ.
   /// Partitions number K ≈ n^{1−δ}.  δ = 1 means a single partition (pure
   /// DRA); δ = 0.5 reproduces DHC1's Phase-1 geometry.
@@ -55,25 +55,7 @@ struct Dhc2Config {
   std::uint32_t num_colors_override = 0;
 
   MergeStrategy merge_strategy = MergeStrategy::kMinForward;
-  DraConfig dra;
-
-  /// Optional message tap for alternative cost models (k-machine, §IV).
-  congest::MessageObserver* observer = nullptr;
-
-  /// Simulator shard count for intra-trial parallelism (0 = the DHC_SHARDS
-  /// environment default; results are bitwise identical for every value —
-  /// see congest::NetworkConfig::shards).
-  std::uint32_t shards = 0;
-
-  /// Optional fault plan: non-null runs the solver under the async delivery
-  /// regime (--model=async; congest/fault_plan.h).  Not owned.
-  const congest::FaultPlan* faults = nullptr;
-
-  /// Optional flight-recorder sink (not owned, must outlive the run).
-  congest::TraceSink* trace = nullptr;
-
-  /// Per-node accounting mode (full vectors / streaming digests / off).
-  congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
+  DraParams dra;
 };
 
 /// The Phase-2 merge engine; embedded in the DHC2 protocol and driven

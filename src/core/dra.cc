@@ -12,7 +12,7 @@ using congest::Message;
 using congest::Network;
 
 DraComponent::DraComponent(NodeId n, std::uint16_t base_tag, const congest::SetupComponent* setup,
-                           DraConfig cfg)
+                           DraParams cfg)
     : n_(n), base_tag_(base_tag), setup_(setup), cfg_(cfg) {
   DHC_REQUIRE(setup != nullptr, "DraComponent needs a SetupComponent");
   flags_.assign(n, 0);
@@ -366,14 +366,7 @@ Result run_dra(const graph::Graph& g, std::uint64_t seed, const DraConfig& cfg) 
     result.failure_reason = "graph has fewer than 3 nodes";
     return result;
   }
-  congest::NetworkConfig net_cfg;
-  net_cfg.seed = seed;
-  net_cfg.observer = cfg.observer;
-  net_cfg.shards = cfg.shards;
-  net_cfg.trace = cfg.trace;
-  net_cfg.node_stats = cfg.node_stats;
-  net_cfg.faults = cfg.faults;
-  congest::Network net(g, net_cfg);
+  congest::Network net(g, congest::network_config(cfg, seed));
   StandaloneDraProtocol protocol(g.n(), cfg);
   result.metrics = net.run(protocol);
 

@@ -45,7 +45,9 @@ using graph::NodeId;
 /// EXP-A1 measures the difference.
 enum class BroadcastMode : std::uint8_t { kTree, kFlood };
 
-struct DraConfig {
+/// The rotation parameters proper — all DraComponent reads.  DHC1/DHC2
+/// embed these for their Phase 1; standalone runs add the engine options.
+struct DraParams {
   BroadcastMode broadcast = BroadcastMode::kTree;
   /// Abort an attempt after multiplier·s·ln s steps (Theorem 2 proves
   /// 7·s·ln s suffices whp for c ≥ 86; the default leaves slack for small c).
@@ -57,26 +59,9 @@ struct DraConfig {
   /// drives partition failure to (small)^attempts — the "extend to failure
   /// probability O(1/n^α)" knob of Theorem 2, realized as restarts.
   std::uint32_t max_attempts = 8;
-
-  /// Optional message tap for alternative cost models (k-machine, §IV; not
-  /// owned, must outlive the run).
-  congest::MessageObserver* observer = nullptr;
-
-  /// Simulator shard count for intra-trial parallelism (0 = the DHC_SHARDS
-  /// environment default; results are bitwise identical for every value —
-  /// see congest::NetworkConfig::shards).
-  std::uint32_t shards = 0;
-
-  /// Optional fault plan: non-null runs the solver under the async delivery
-  /// regime (--model=async; congest/fault_plan.h).  Not owned.
-  const congest::FaultPlan* faults = nullptr;
-
-  /// Optional flight-recorder sink (not owned, must outlive the run).
-  congest::TraceSink* trace = nullptr;
-
-  /// Per-node accounting mode (full vectors / streaming digests / off).
-  congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
 };
+
+struct DraConfig : DraParams, congest::EngineOptions {};
 
 /// Per-partition rotation engine, embedded in an enclosing Protocol.
 /// Requires a finished SetupComponent (leaders, trees, sizes, depths).
@@ -84,7 +69,7 @@ class DraComponent {
  public:
   /// Uses message tags base_tag..base_tag+3.
   DraComponent(NodeId n, std::uint16_t base_tag, const congest::SetupComponent* setup,
-               DraConfig cfg);
+               DraParams cfg);
 
   /// Uses message tags base_tag..base_tag+4.
   /// Wakes every partition leader; call once, after setup is done.
@@ -156,7 +141,7 @@ class DraComponent {
   NodeId n_;
   std::uint16_t base_tag_;
   const congest::SetupComponent* setup_;
-  DraConfig cfg_;
+  DraParams cfg_;
 
   // Per-node booleans, bit-packed into one byte per node (was four u8
   // vectors).  Distinct nodes touch distinct bytes, so parallel shards

@@ -42,4 +42,27 @@ struct Result {
   }
 };
 
+/// The common ending of a CONGEST solver run, after its stats are recorded:
+/// hitting the round limit or a protocol-reported `failure` fails the run;
+/// otherwise the claimed cycle (built only now, by `cycle()`) must verify
+/// against `g` before the run counts as a success.
+template <class CycleFn>
+void conclude(Result& result, const graph::Graph& g, const std::string& failure, CycleFn cycle) {
+  if (result.metrics.hit_round_limit) {
+    result.failure_reason = "round limit exceeded";
+    return;
+  }
+  if (!failure.empty()) {
+    result.failure_reason = failure;
+    return;
+  }
+  result.cycle = cycle();
+  const auto verdict = graph::verify_cycle_incidence(g, result.cycle);
+  if (!verdict.ok()) {
+    result.failure_reason = "final cycle invalid: " + *verdict.failure;
+    return;
+  }
+  result.success = true;
+}
+
 }  // namespace dhc::core

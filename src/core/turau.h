@@ -36,7 +36,7 @@
 
 namespace dhc::core {
 
-struct TurauConfig {
+struct TurauConfig : congest::EngineOptions {
   /// Every node samples ceil(sample_c·ln n) incident edges for the initial
   /// matching (clamped to the node's degree).
   double sample_c = 4.0;
@@ -49,25 +49,6 @@ struct TurauConfig {
   /// Rotations attempted while closing the final Hamiltonian path before
   /// giving up (each succeeds with probability ≈ p).
   std::uint32_t max_close_attempts = 64;
-
-  /// Optional message tap for alternative cost models (k-machine, §IV; not
-  /// owned, must outlive the run).
-  congest::MessageObserver* observer = nullptr;
-
-  /// Simulator shard count for intra-trial parallelism (0 = the DHC_SHARDS
-  /// environment default; results are bitwise identical for every value —
-  /// see congest::NetworkConfig::shards).
-  std::uint32_t shards = 0;
-
-  /// Optional fault plan: non-null runs the solver under the async delivery
-  /// regime (--model=async; congest/fault_plan.h).  Not owned.
-  const congest::FaultPlan* faults = nullptr;
-
-  /// Optional flight-recorder sink (not owned, must outlive the run).
-  congest::TraceSink* trace = nullptr;
-
-  /// Per-node accounting mode (full vectors / streaming digests / off).
-  congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
 };
 
 /// Runs Turau's algorithm end to end.  On success the cycle is in the

@@ -271,14 +271,7 @@ Result run_upcast(const graph::Graph& g, std::uint64_t seed, const UpcastConfig&
     result.failure_reason = "graph has fewer than 3 nodes";
     return result;
   }
-  congest::NetworkConfig net_cfg;
-  net_cfg.seed = seed;
-  net_cfg.observer = cfg.observer;
-  net_cfg.shards = cfg.shards;
-  net_cfg.trace = cfg.trace;
-  net_cfg.node_stats = cfg.node_stats;
-  net_cfg.faults = cfg.faults;
-  congest::Network net(g, net_cfg);
+  congest::Network net(g, congest::network_config(cfg, seed));
   UpcastProtocol protocol(g.n(), cfg);
   result.metrics = net.run(protocol);
 
@@ -287,21 +280,7 @@ Result run_upcast(const graph::Graph& g, std::uint64_t seed, const UpcastConfig&
   result.stats["root_solve_steps"] = static_cast<double>(protocol.root_solve_steps_);
   result.stats["tree_depth"] = static_cast<double>(protocol.setup_.tree_depth(0));
 
-  if (result.metrics.hit_round_limit) {
-    result.failure_reason = "round limit exceeded";
-    return result;
-  }
-  if (!protocol.failure_.empty()) {
-    result.failure_reason = protocol.failure_;
-    return result;
-  }
-  result.cycle = protocol.incidence_;
-  const auto verdict = graph::verify_cycle_incidence(g, result.cycle);
-  if (!verdict.ok()) {
-    result.failure_reason = "final cycle invalid: " + *verdict.failure;
-    return result;
-  }
-  result.success = true;
+  conclude(result, g, protocol.failure_, [&] { return protocol.incidence_; });
   return result;
 }
 

@@ -27,7 +27,7 @@
 
 namespace dhc::core {
 
-struct UpcastConfig {
+struct UpcastConfig : congest::EngineOptions {
   /// Every node samples ceil(sample_c · ln n) incident edges (paper step 3's
   /// c′ log n).  Clamped to the node's degree.
   double sample_c = 3.0;
@@ -37,25 +37,6 @@ struct UpcastConfig {
 
   /// Root's local solver budget.
   RotationConfig root_solver;
-
-  /// Optional message tap for alternative cost models (k-machine, §IV; not
-  /// owned, must outlive the run).
-  congest::MessageObserver* observer = nullptr;
-
-  /// Simulator shard count for intra-trial parallelism (0 = the DHC_SHARDS
-  /// environment default; results are bitwise identical for every value —
-  /// see congest::NetworkConfig::shards).
-  std::uint32_t shards = 0;
-
-  /// Optional fault plan: non-null runs the solver under the async delivery
-  /// regime (--model=async; congest/fault_plan.h).  Not owned.
-  const congest::FaultPlan* faults = nullptr;
-
-  /// Optional flight-recorder sink (not owned, must outlive the run).
-  congest::TraceSink* trace = nullptr;
-
-  /// Per-node accounting mode (full vectors / streaming digests / off).
-  congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
 };
 
 /// Runs Upcast (or CollectAll) end to end.  Stats include "root_edges",

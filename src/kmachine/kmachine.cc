@@ -151,14 +151,4 @@ KMachineOutcome run_kmachine(const CongestAlgorithm& algo, const graph::Graph& g
   return out;
 }
 
-KMachineReport convert_dhc2(const graph::Graph& g, std::uint64_t seed, std::uint32_t k,
-                            std::uint64_t bandwidth, const core::Dhc2Config& base) {
-  KMachineConfig cfg;
-  cfg.k = k;
-  cfg.bandwidth = bandwidth;
-  cfg.partition_seed = seed;
-  cfg.shards = base.shards;
-  return run_kmachine(dhc2_algorithm(base), g, seed, cfg).report;
-}
-
 }  // namespace dhc::kmachine

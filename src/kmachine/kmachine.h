@@ -21,11 +21,10 @@
 //     algorithm, and returns both the underlying core::Result (cycle
 //     included, so callers can verify) and the full KMachineReport.
 //
-// convert_dhc2() remains as the DHC2 shorthand the original EXP-K1 used; it
-// is now a thin wrapper over the backend.  The paper's claim — "our fully-
-// distributed algorithms can be used to obtain efficient algorithms in the
-// k-machine model" — is runnable for every algorithm: more machines means
-// more parallel links, so converted rounds fall as k grows.
+// The paper's claim — "our fully-distributed algorithms can be used to
+// obtain efficient algorithms in the k-machine model" — is runnable for
+// every algorithm: more machines means more parallel links, so converted
+// rounds fall as k grows.
 #pragma once
 
 #include <cstdint>
@@ -142,7 +141,8 @@ using CongestAlgorithm = std::function<core::Result(
     std::uint32_t shards, const congest::FaultPlan* faults)>;
 
 /// Adapters for the registered CONGEST algorithms.  Each captures a base
-/// config and forwards the backend-controlled knobs (observer, shards).
+/// config and overwrites its engine options' backend-controlled knobs
+/// (observer, shards, faults) per call; trace and node_stats stay the base's.
 CongestAlgorithm dra_algorithm(core::DraConfig base = {});
 CongestAlgorithm dhc1_algorithm(core::Dhc1Config base = {});
 CongestAlgorithm dhc2_algorithm(core::Dhc2Config base = {});
@@ -159,7 +159,7 @@ struct KMachineConfig {
   /// Per-link bandwidth, messages per k-machine round (≥ 1).
   std::uint64_t bandwidth = 32;
   /// Seed of the random vertex partition; 0 means "use the algorithm seed"
-  /// (the convention of convert_dhc2 and the runner).
+  /// (the runner's convention).
   std::uint64_t partition_seed = 0;
   /// Simulator shards for the underlying CONGEST run (0 = the DHC_SHARDS
   /// environment default).  Bitwise-neutral: the merged event log reproduces
@@ -186,11 +186,5 @@ struct KMachineOutcome {
 /// or charged to its machine link.
 KMachineOutcome run_kmachine(const CongestAlgorithm& algo, const graph::Graph& g,
                              std::uint64_t seed, const KMachineConfig& cfg);
-
-/// Runs DHC2 on `g` and prices the execution on k machines with the given
-/// per-link bandwidth (messages/round).  The original EXP-K1 entry point,
-/// now a thin wrapper over run_kmachine().
-KMachineReport convert_dhc2(const graph::Graph& g, std::uint64_t seed, std::uint32_t k,
-                            std::uint64_t bandwidth, const core::Dhc2Config& base = {});
 
 }  // namespace dhc::kmachine

@@ -20,7 +20,6 @@ std::string to_string(Algorithm a) {
     case Algorithm::kDhc2: return "dhc2";
     case Algorithm::kUpcast: return "upcast";
     case Algorithm::kCollectAll: return "collect-all";
-    case Algorithm::kDhc2KMachine: return "dhc2-kmachine";
     case Algorithm::kTurau: return "turau";
     case Algorithm::kCre: return "cre";
   }
@@ -57,12 +56,11 @@ Algorithm parse_algorithm(const std::string& s) {
   if (s == "dhc2") return Algorithm::kDhc2;
   if (s == "upcast") return Algorithm::kUpcast;
   if (s == "collect-all" || s == "collectall") return Algorithm::kCollectAll;
-  if (s == "dhc2-kmachine" || s == "kmachine") return Algorithm::kDhc2KMachine;
   if (s == "turau") return Algorithm::kTurau;
   if (s == "cre") return Algorithm::kCre;
   throw std::invalid_argument("unknown algorithm '" + s +
                               "' (expected sequential|dra|dhc1|dhc2|upcast|collect-all|"
-                              "dhc2-kmachine|turau|cre)");
+                              "turau|cre)");
 }
 
 ExecutionModel parse_execution_model(const std::string& s) {
@@ -133,9 +131,6 @@ void Scenario::validate() const {
     for (const Algorithm a : algos) {
       DHC_REQUIRE(a != Algorithm::kSequential && a != Algorithm::kCre,
                   "the sequential baselines have no CONGEST execution to run asynchronously");
-      DHC_REQUIRE(a != Algorithm::kDhc2KMachine,
-                  "the legacy dhc2-kmachine algorithm forces the k-machine backend; "
-                  "combine algo dhc2 with model = async instead");
     }
   } else {
     const bool faults_requested = delay_dists != std::vector<std::string>{"none"} ||
@@ -167,10 +162,6 @@ std::uint64_t derive_seed(std::uint64_t base, std::initializer_list<std::uint64_
   return h | 1;
 }
 
-bool uses_merge_strategy(Algorithm a) {
-  return a == Algorithm::kDhc2 || a == Algorithm::kDhc2KMachine;
-}
-
 }  // namespace
 
 std::vector<TrialConfig> expand(const Scenario& s) {
@@ -191,13 +182,9 @@ std::vector<TrialConfig> expand(const Scenario& s) {
   static const std::vector<std::string> kNoFaultSpec = {"none"};
   static const std::vector<double> kNoDrop = {0.0};
   for (const Algorithm algo : s.algos) {
-    // The k-machine backend prices every algorithm when the scenario selects
-    // the model; the legacy kDhc2KMachine algorithm forces it for its own
-    // cells so old scenarios keep their meaning.
-    const bool kmachine =
-        s.model == ExecutionModel::kKMachine || algo == Algorithm::kDhc2KMachine;
+    const bool kmachine = s.model == ExecutionModel::kKMachine;
     const bool async = s.model == ExecutionModel::kAsync;
-    const auto& merges = uses_merge_strategy(algo) ? s.merges : kDefaultMerge;
+    const auto& merges = algo == Algorithm::kDhc2 ? s.merges : kDefaultMerge;
     const auto& machines = kmachine ? s.machines : kNoMachines;
     // The fault axes iterate only under model = async (validate() already
     // rejects non-default axes elsewhere), so non-async scenarios keep the

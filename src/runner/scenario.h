@@ -26,9 +26,7 @@ namespace dhc::runner {
 
 /// Which solver a trial runs.  kCollectAll is Upcast with collect_all set
 /// (the trivial baseline); kTurau is the O(log n)-time comparison protocol
-/// of arXiv:1805.06728 (DESIGN.md §2.4).  kDhc2KMachine is the legacy
-/// spelling of "dhc2 under model = kmachine" — kept so old scenarios parse;
-/// new sweeps should combine any algorithm with the model axis instead.
+/// of arXiv:1805.06728 (DESIGN.md §2.4).
 enum class Algorithm : std::uint8_t {
   kSequential,
   kDra,
@@ -36,7 +34,6 @@ enum class Algorithm : std::uint8_t {
   kDhc2,
   kUpcast,
   kCollectAll,
-  kDhc2KMachine,
   kTurau,
   /// CRE — the linear-space sequential oracle (core/sequential_linear.h).
   /// Like kSequential it has no CONGEST execution, so it is rejected under
@@ -89,8 +86,7 @@ struct Scenario {
   std::vector<double> cs = {2.5};
   std::vector<core::MergeStrategy> merges = {core::MergeStrategy::kMinForward};
   /// Machine counts for the k-machine sweep (spec keys `machines` or
-  /// `k_list`): every algorithm under model = kmachine, plus the legacy
-  /// kDhc2KMachine algorithm under model = congest.
+  /// `k_list`): every algorithm under model = kmachine.
   std::vector<std::int64_t> machines = {8};
   /// Per-link bandwidth (messages/round) for the k-machine pricing.
   std::int64_t bandwidth = 32;
@@ -136,8 +132,7 @@ struct TrialConfig {
   std::size_t config_index = 0;   ///< Which cross-product cell this trial belongs to.
   std::uint64_t trial_index = 0;  ///< 0-based seed index within the cell.
   Algorithm algo = Algorithm::kDhc2;
-  /// kKMachine for every trial priced by the k-machine backend (scenarios
-  /// with model = kmachine, and the legacy kDhc2KMachine algorithm).
+  /// The scenario's execution model.
   ExecutionModel model = ExecutionModel::kCongest;
   GraphFamily family = GraphFamily::kGnp;
   graph::NodeId n = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "async/async.h"
@@ -105,161 +106,160 @@ void add_instance_stats(TrialResult& out, const graph::Graph& g, const TrialConf
   out.stats["mean_degree"] = t.n > 0 ? 2.0 * static_cast<double>(g.m()) / t.n : 0.0;
 }
 
-void verify_incidence(TrialResult& out, const graph::Graph& g,
-                      const graph::CycleIncidence& cycle) {
-  if (!out.success) return;
-  const auto v = graph::verify_cycle_incidence(g, cycle);
-  if (!v.ok()) {
-    out.success = false;
-    out.failure_reason = "verifier: " + *v.failure;
+// A failed verification overrides a solver's claimed success.
+void apply_verdict(TrialResult& out, const graph::VerifyResult& v) {
+  if (v.ok()) return;
+  out.success = false;
+  out.failure_reason = "verifier: " + *v.failure;
+}
+
+// The sequential oracles (sequential rotation, cre) have no network: their
+// `rounds` are solver steps.  They share the CONGEST solvers' seed
+// discipline, so an oracle cell pairs with any CONGEST cell that shares
+// (family, n, delta, c, t).
+void run_oracle(TrialResult& out, const graph::Graph& g, const TrialConfig& t, bool verify) {
+  support::Rng rng(t.algo_seed);
+  const auto fill = [&](const auto& r) {
+    out.success = r.success;
+    out.failure_reason = r.failure_reason;
+    out.rounds = static_cast<double>(r.stats.steps);
+    out.stats["steps"] = static_cast<double>(r.stats.steps);
+    out.stats["extensions"] = static_cast<double>(r.stats.extensions);
+    out.stats["rotations"] = static_cast<double>(r.stats.rotations);
+    if constexpr (requires { r.stats.resamples; }) {
+      out.stats["resamples"] = static_cast<double>(r.stats.resamples);
+    }
+    if (out.success && verify) apply_verdict(out, graph::verify_cycle_order(g, r.cycle));
+  };
+  if (t.algo == Algorithm::kCre) {
+    fill(core::cre_hamiltonian_cycle(g, rng));
+  } else {
+    fill(core::rotation_hamiltonian_cycle(g, rng));
   }
 }
 
 // Maps a TrialConfig to the adapter that runs its CONGEST solver — the
-// single place scenario parameters are forwarded into solver configs,
-// shared by both execution models so a congest and a k-machine run of the
-// same cell can never drift apart.  kSequential is not a CONGEST
-// algorithm: returns null.
+// single place scenario parameters are forwarded into solver configs, so
+// the same cell under different execution models can never drift apart.
+// The adapter overwrites only (observer, shards, faults) per call, so the
+// trace sink and node-stats mode ride in the base config's engine options.
 kmachine::CongestAlgorithm congest_algorithm_for(const TrialConfig& t,
-                                                 congest::TraceSink* trace,
-                                                 congest::NodeStatsMode node_stats) {
-  // The adapters overwrite only (observer, shards), so the flight-recorder
-  // sink and the node-stats mode ride in the base configs.
+                                                 const congest::EngineOptions& engine) {
+  const auto with_engine = [&](auto cfg) {
+    static_cast<congest::EngineOptions&>(cfg) = engine;
+    return cfg;
+  };
   switch (t.algo) {
-    case Algorithm::kSequential:
-    case Algorithm::kCre:
-      return nullptr;
-    case Algorithm::kDra: {
-      core::DraConfig cfg;
-      cfg.trace = trace;
-      cfg.node_stats = node_stats;
-      return kmachine::dra_algorithm(cfg);
-    }
-    case Algorithm::kDhc1: {
-      core::Dhc1Config cfg;
-      cfg.trace = trace;
-      cfg.node_stats = node_stats;
-      return kmachine::dhc1_algorithm(cfg);
-    }
-    case Algorithm::kDhc2:
-    case Algorithm::kDhc2KMachine: {
-      core::Dhc2Config cfg;
+    case Algorithm::kDra:
+      return kmachine::dra_algorithm(with_engine(core::DraConfig{}));
+    case Algorithm::kDhc1:
+      return kmachine::dhc1_algorithm(with_engine(core::Dhc1Config{}));
+    case Algorithm::kDhc2: {
+      core::Dhc2Config cfg = with_engine(core::Dhc2Config{});
       cfg.delta = t.delta;
       cfg.merge_strategy = t.merge;
-      cfg.trace = trace;
-      cfg.node_stats = node_stats;
       return kmachine::dhc2_algorithm(cfg);
     }
-    case Algorithm::kTurau: {
-      core::TurauConfig cfg;
-      cfg.trace = trace;
-      cfg.node_stats = node_stats;
-      return kmachine::turau_algorithm(cfg);
-    }
+    case Algorithm::kTurau:
+      return kmachine::turau_algorithm(with_engine(core::TurauConfig{}));
     case Algorithm::kUpcast:
     case Algorithm::kCollectAll: {
-      core::UpcastConfig cfg;
+      core::UpcastConfig cfg = with_engine(core::UpcastConfig{});
       cfg.collect_all = t.algo == Algorithm::kCollectAll;
-      cfg.trace = trace;
-      cfg.node_stats = node_stats;
       return kmachine::upcast_algorithm(cfg);
     }
+    case Algorithm::kSequential:
+    case Algorithm::kCre:
+      break;
   }
-  throw std::logic_error("unreachable algorithm");
+  throw std::invalid_argument(to_string(t.algo) + " has no CONGEST execution to run under model " +
+                              to_string(t.model));
 }
 
-// Runs one trial through the k-machine execution backend (src/kmachine):
-// any CONGEST algorithm, a random vertex partition over t.machines machines
-// seeded from the trial's algo_seed, per-link bandwidth t.bandwidth.  The
-// headline `rounds` are the converted k-machine rounds; the raw CONGEST
-// rounds and the full pricing report land in stats.
-void run_kmachine_trial(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
-                        const TrialOptions& opt, trace::TraceRecorder* rec) {
-  const bool verify = opt.verify;
-  const kmachine::CongestAlgorithm algo = congest_algorithm_for(t, rec, opt.node_stats);
-  if (algo == nullptr) {
-    out.failure_reason =
-        "sequential has no CONGEST execution to price in the k-machine model";
-    return;
+// Runs one CONGEST trial.  The execution model is an attachment on the one
+// solver call, never a separate path: model = kmachine attaches a
+// KMachineCost observer (src/kmachine: a random vertex partition over
+// t.machines machines seeded from algo_seed, per-link bandwidth
+// t.bandwidth), model = async passes a FaultPlan (src/async: seed-
+// deterministic delays, drops, crash windows, optional ack overlay), and
+// model = congest attaches neither.  Each attachment adds its own stats
+// columns, read from the solver's Metrics and the attachment itself.
+void run_congest(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
+                 const TrialOptions& opt, trace::TraceRecorder* rec) {
+  std::optional<kmachine::KMachineCost> cost;
+  if (t.model == ExecutionModel::kKMachine) {
+    cost.emplace(g.n(), t.machines, t.bandwidth, /*partition seed=*/t.algo_seed);
+    cost->set_trace(rec);
+  }
+  std::optional<congest::FaultPlan> plan;
+  if (t.model == ExecutionModel::kAsync) {
+    plan.emplace(congest::DelaySpec::parse(t.delay_dist), t.drop_prob,
+                 congest::CrashSpec::parse(t.crash_schedule),
+                 async::derive_fault_seed(t.algo_seed), t.max_rounds);
+    plan->set_reliability(congest::ReliabilitySpec::parse(t.reliability),
+                          t.rto.empty() ? congest::RtoSpec{} : congest::RtoSpec::parse(t.rto));
   }
 
-  kmachine::KMachineConfig kcfg;
-  kcfg.k = t.machines;
-  kcfg.bandwidth = t.bandwidth;
-  kcfg.partition_seed = t.algo_seed;
-  kcfg.shards = opt.shards;
-  kcfg.trace = rec;
-  auto priced = kmachine::run_kmachine(algo, g, t.algo_seed, kcfg);
-  if (rec != nullptr) rec->finalize(priced.result.metrics);
-  fill_from_result(out, priced.result);
-  out.rounds = static_cast<double>(priced.report.kmachine_rounds);
-  out.stats["congest_rounds"] = static_cast<double>(priced.report.congest_rounds);
-  out.stats["kmachine_rounds"] = static_cast<double>(priced.report.kmachine_rounds);
-  out.stats["cross_messages"] = static_cast<double>(priced.report.cross_messages);
-  out.stats["local_messages"] = static_cast<double>(priced.report.local_messages);
-  out.stats["busiest_link_peak"] = static_cast<double>(priced.report.busiest_link_peak);
-  if (verify) verify_incidence(out, g, priced.result.cycle);
-}
+  congest::EngineOptions engine;
+  engine.observer = cost ? &*cost : nullptr;
+  engine.shards = opt.shards;
+  engine.faults = plan ? &*plan : nullptr;
+  engine.trace = rec;
+  engine.node_stats = opt.node_stats;
+  core::Result r = congest_algorithm_for(t, engine)(g, t.algo_seed, engine.observer,
+                                                    engine.shards, engine.faults);
+  if (cost) cost->finish();
+  if (rec != nullptr) rec->finalize(r.metrics);
+  fill_from_result(out, r);
 
-// Runs one trial through the async execution backend (src/async): the same
-// CONGEST adapter, with seed-deterministic delivery delays / drops / crash
-// windows injected by the network.  Faulted runs may legitimately fail
-// (hit_round_limit, invalid cycle); the fault accounting lands in stats so
-// artifacts explain *why*.
-void run_async_trial(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
-                     const TrialOptions& opt, trace::TraceRecorder* rec) {
-  const kmachine::CongestAlgorithm algo = congest_algorithm_for(t, rec, opt.node_stats);
-  if (algo == nullptr) {
-    out.failure_reason = "sequential has no CONGEST execution to run under the async model";
-    return;
+  const congest::Metrics& m = r.metrics;
+  if (cost) {
+    // The headline rounds are the converted k-machine rounds.
+    out.rounds = static_cast<double>(cost->kmachine_rounds());
+    out.stats["congest_rounds"] = static_cast<double>(m.rounds);
+    out.stats["kmachine_rounds"] = static_cast<double>(cost->kmachine_rounds());
+    out.stats["cross_messages"] = static_cast<double>(cost->cross_messages());
+    out.stats["local_messages"] = static_cast<double>(cost->local_messages());
+    out.stats["busiest_link_peak"] = static_cast<double>(cost->busiest_link_peak());
   }
-
-  async::AsyncConfig acfg;
-  acfg.delay = congest::DelaySpec::parse(t.delay_dist);
-  acfg.drop_prob = t.drop_prob;
-  acfg.crash = congest::CrashSpec::parse(t.crash_schedule);
-  acfg.max_rounds = t.max_rounds;
-  acfg.shards = opt.shards;
-  acfg.reliability = congest::ReliabilitySpec::parse(t.reliability);
-  acfg.rto = t.rto.empty() ? congest::RtoSpec{} : congest::RtoSpec::parse(t.rto);
-  auto outcome = async::run_async(algo, g, t.algo_seed, acfg);
-  if (rec != nullptr) rec->finalize(outcome.result.metrics);
-  fill_from_result(out, outcome.result);
-  // A round-limit failure is ambiguous on its own: a quiescent network means
-  // the protocol *stalled* (e.g. a lost message nobody re-sends), while
-  // pending traffic means it was still *live* (delay-induced livelock).
-  // Suffix the reason so sweeps can tell them apart without reading traces.
-  if (outcome.report.hit_round_limit) {
-    out.failure_reason += outcome.report.round_limit_live ? " (live)" : " (stalled)";
+  if (plan) {
+    // A round-limit failure is ambiguous on its own: a quiescent network
+    // means the protocol *stalled* (e.g. a lost message nobody re-sends),
+    // while pending traffic means it was still *live* (delay-induced
+    // livelock).  Suffix the reason so sweeps can tell them apart without
+    // reading traces.
+    if (m.hit_round_limit) out.failure_reason += m.round_limit_live ? " (live)" : " (stalled)";
+    out.stats["delayed_messages"] = static_cast<double>(m.delayed_messages);
+    out.stats["dropped_messages"] = static_cast<double>(m.dropped_messages);
+    out.stats["crash_dropped_messages"] = static_cast<double>(m.crash_dropped_messages);
+    out.stats["crashed_steps"] = static_cast<double>(m.crashed_steps);
+    out.stats["crashed_nodes"] = static_cast<double>(plan->crashed_node_count(g.n()));
+    out.stats["crashed_rejoins"] = static_cast<double>(m.crashed_rejoins);
+    out.stats["retransmits"] = static_cast<double>(m.retransmits);
+    out.stats["dup_suppressed"] = static_cast<double>(m.dup_suppressed);
+    out.stats["acks_sent"] = static_cast<double>(m.acks_sent);
+    out.stats["payload_messages"] = static_cast<double>(m.payload_messages());
+    out.stats["hit_round_limit"] = m.hit_round_limit ? 1.0 : 0.0;
+    out.stats["round_limit_live"] = m.round_limit_live ? 1.0 : 0.0;
   }
-  out.stats["delayed_messages"] = static_cast<double>(outcome.report.delayed_messages);
-  out.stats["dropped_messages"] = static_cast<double>(outcome.report.dropped_messages);
-  out.stats["crash_dropped_messages"] =
-      static_cast<double>(outcome.report.crash_dropped_messages);
-  out.stats["crashed_steps"] = static_cast<double>(outcome.report.crashed_steps);
-  out.stats["crashed_nodes"] = static_cast<double>(outcome.report.crashed_nodes);
-  out.stats["crashed_rejoins"] = static_cast<double>(outcome.report.crashed_rejoins);
-  out.stats["retransmits"] = static_cast<double>(outcome.report.retransmits);
-  out.stats["dup_suppressed"] = static_cast<double>(outcome.report.dup_suppressed);
-  out.stats["acks_sent"] = static_cast<double>(outcome.report.acks_sent);
-  out.stats["payload_messages"] = static_cast<double>(outcome.report.payload_messages);
-  out.stats["hit_round_limit"] = outcome.report.hit_round_limit ? 1.0 : 0.0;
-  out.stats["round_limit_live"] = outcome.report.round_limit_live ? 1.0 : 0.0;
-  if (opt.verify) verify_incidence(out, g, outcome.result.cycle);
+  if (out.success && opt.verify) apply_verdict(out, graph::verify_cycle_incidence(g, r.cycle));
 }
 
 TrialResult run_trial_unchecked(const TrialConfig& t, const TrialOptions& opt) {
-  const bool verify = opt.verify;
-  const std::uint32_t shards = opt.shards;
   TrialResult out;
   const graph::Graph g = make_trial_instance(t);
 
-  // Sequential trials have no network to tap; everything else records when a
-  // trace directory is set.
-  const bool tracing = !opt.trace_dir.empty() && t.algo != Algorithm::kSequential &&
-                       t.algo != Algorithm::kCre;
+  const bool oracle = t.algo == Algorithm::kSequential || t.algo == Algorithm::kCre;
+  if (oracle && t.model == ExecutionModel::kCongest) {
+    run_oracle(out, g, t, opt.verify);
+    add_instance_stats(out, g, t);
+    return out;
+  }
+
+  // Oracles have no network to tap; every CONGEST trial records when a trace
+  // directory is set.
   trace::TraceRecorder recorder;
-  trace::TraceRecorder* rec = tracing ? &recorder : nullptr;
+  trace::TraceRecorder* rec = opt.trace_dir.empty() ? nullptr : &recorder;
   if (rec != nullptr) {
     trace::TraceMeta meta;
     meta.algo = to_string(t.algo);
@@ -274,65 +274,17 @@ TrialResult run_trial_unchecked(const TrialConfig& t, const TrialOptions& opt) {
     meta.algo_seed = t.algo_seed;
     meta.machines = t.machines;
     meta.bandwidth = t.bandwidth;
-    meta.shards = shards != 0 ? shards : congest::default_shards();
+    meta.shards = opt.shards != 0 ? opt.shards : congest::default_shards();
     meta.node_stats = congest::to_string(opt.node_stats);
     meta.config_index = t.config_index;
     meta.trial_index = t.trial_index;
     recorder.set_meta(std::move(meta));
   }
 
-  if (t.model == ExecutionModel::kKMachine || t.algo == Algorithm::kDhc2KMachine) {
-    run_kmachine_trial(out, g, t, opt, rec);
-  } else if (t.model == ExecutionModel::kAsync) {
-    run_async_trial(out, g, t, opt, rec);
-  } else if (t.algo == Algorithm::kSequential) {
-    support::Rng rng(t.algo_seed);
-    const auto r = core::rotation_hamiltonian_cycle(g, rng);
-    out.success = r.success;
-    out.failure_reason = r.failure_reason;
-    out.rounds = static_cast<double>(r.stats.steps);
-    out.stats["steps"] = static_cast<double>(r.stats.steps);
-    out.stats["extensions"] = static_cast<double>(r.stats.extensions);
-    out.stats["rotations"] = static_cast<double>(r.stats.rotations);
-    if (out.success && verify) {
-      const auto v = graph::verify_cycle_order(g, r.cycle);
-      if (!v.ok()) {
-        out.success = false;
-        out.failure_reason = "verifier: " + *v.failure;
-      }
-    }
-  } else if (t.algo == Algorithm::kCre) {
-    // The linear-space oracle: same seed discipline as kSequential, so a cre
-    // cell pairs with any CONGEST cell that shares (family, n, delta, c, t).
-    support::Rng rng(t.algo_seed);
-    const auto r = core::cre_hamiltonian_cycle(g, rng);
-    out.success = r.success;
-    out.failure_reason = r.failure_reason;
-    out.rounds = static_cast<double>(r.stats.steps);
-    out.stats["steps"] = static_cast<double>(r.stats.steps);
-    out.stats["extensions"] = static_cast<double>(r.stats.extensions);
-    out.stats["rotations"] = static_cast<double>(r.stats.rotations);
-    out.stats["resamples"] = static_cast<double>(r.stats.resamples);
-    if (out.success && verify) {
-      const auto v = graph::verify_cycle_order(g, r.cycle);
-      if (!v.ok()) {
-        out.success = false;
-        out.failure_reason = "verifier: " + *v.failure;
-      }
-    }
-  } else {
-    // Plain CONGEST execution, through the same adapter the k-machine path
-    // uses (no observer attached).
-    auto r = congest_algorithm_for(t, rec, opt.node_stats)(
-        g, t.algo_seed, /*observer=*/nullptr, shards, /*faults=*/nullptr);
-    if (rec != nullptr) rec->finalize(r.metrics);
-    fill_from_result(out, r);
-    if (verify) verify_incidence(out, g, r.cycle);
-  }
-
+  run_congest(out, g, t, opt, rec);
   add_instance_stats(out, g, t);
 
-  if (rec != nullptr && rec->finalized()) {
+  if (rec != nullptr) {
     rec->set_outcome(out.success, out.failure_reason);
     const std::string path = opt.trace_dir + "/trace_c" + std::to_string(t.config_index) +
                              "_t" + std::to_string(t.trial_index) + ".ndjson";

@@ -178,7 +178,6 @@ class TraceRecorder final : public congest::TraceSink {
   const std::vector<PhaseSpan>& spans() const { return spans_; }
   std::uint64_t kmachine_rounds_total() const { return kround_charge_total_; }
   const congest::Metrics& metrics() const { return metrics_; }
-  bool finalized() const { return finalized_; }
 
  private:
   TraceMeta meta_;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,6 +182,54 @@ TEST(Artifact, KMachineModelArtifactsCarryPricingStats) {
       EXPECT_GT(s.stat_means.at("busiest_link_peak"), 0.0);
     }
   }
+}
+
+// The exact per-trial stats key set of each execution path.  Every model
+// runs through one runner path, so a column may appear only where its
+// attachment is: pricing stats only under kmachine, fault counters only
+// under async, and no engine columns at all for the sequential oracles.
+TEST(Artifact, TrialStatsKeySetsArePinnedPerModel) {
+  using Keys = std::set<std::string>;
+  const auto keys_of = [](std::map<std::string, std::string> spec) {
+    spec.insert({{"sizes", "64"}, {"cs", "4"}, {"seeds", "1"}});
+    const auto trials = expand(scenario_from_spec(spec));
+    const TrialResult r = run_trial(trials.at(0));
+    EXPECT_TRUE(r.success) << spec.at("algos") << ": " << r.failure_reason;
+    Keys keys;
+    for (const auto& [key, value] : r.stats) keys.insert(key);
+    return keys;
+  };
+  const auto with = [](Keys base, const Keys& extra) {
+    base.insert(extra.begin(), extra.end());
+    return base;
+  };
+
+  const Keys instance = {"graph_connected", "graph_m", "mean_degree"};
+  const Keys dhc2 = with(
+      instance,
+      {"aborted_partitions", "accounted_rounds", "arena_bytes_peak", "barrier_count",
+       "bridges_built", "budget_aborts", "candidates_found", "dra_extensions", "dra_restarts",
+       "dra_rotations", "dra_steps", "global_tree_depth", "merge_levels", "node_sent_p50",
+       "node_sent_p95", "node_sent_p99", "num_colors", "phase_dra_rounds",
+       "phase_global_setup_rounds", "phase_merge_rounds", "phase_partition_setup_rounds",
+       "starved_aborts", "tiny_aborts", "verify_messages"});
+  const Keys oracle = with(instance, {"extensions", "rotations", "steps"});
+
+  EXPECT_EQ(keys_of({{"algos", "dhc2"}}), dhc2);
+  EXPECT_EQ(keys_of({{"algos", "dhc2"}, {"model", "kmachine"}, {"k_list", "4"}}),
+            with(dhc2, {"busiest_link_peak", "congest_rounds", "cross_messages",
+                        "kmachine_rounds", "local_messages"}));
+  EXPECT_EQ(keys_of({{"algos", "dhc2"},
+                     {"model", "async"},
+                     {"delay_dist", "fixed:2"},
+                     {"drop_prob", "0.01"},
+                     {"reliability", "ack"}}),
+            with(dhc2, {"acks_sent", "crash_dropped_messages", "crashed_nodes",
+                        "crashed_rejoins", "crashed_steps", "delayed_messages",
+                        "dropped_messages", "dup_suppressed", "hit_round_limit",
+                        "payload_messages", "retransmits", "round_limit_live"}));
+  EXPECT_EQ(keys_of({{"algos", "sequential"}}), oracle);
+  EXPECT_EQ(keys_of({{"algos", "cre"}}), with(oracle, {"resamples"}));
 }
 
 }  // namespace

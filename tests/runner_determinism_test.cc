@@ -114,7 +114,8 @@ TEST(TrialRunner, ExceptionsBecomeFailedTrialsNotCrashes) {
 
 TEST(TrialRunner, KMachinePricingRunsAndScalesWithMachines) {
   Scenario s;
-  s.algos = {Algorithm::kDhc2KMachine};
+  s.algos = {Algorithm::kDhc2};
+  s.model = ExecutionModel::kKMachine;
   s.sizes = {64};
   s.deltas = {0.5};
   s.cs = {4.0};

@@ -53,14 +53,18 @@ TEST(Pairing, AlgorithmsShareIdenticalInstances) {
 
 TEST(Pairing, MergeStrategyAndMachineCountDoNotPerturbInstances) {
   Scenario s;
-  s.algos = {Algorithm::kDhc2, Algorithm::kDhc2KMachine};
+  s.algos = {Algorithm::kDhc2};
   s.merges = {core::MergeStrategy::kMinForward, core::MergeStrategy::kFullQueue};
   s.machines = {4, 8};
   s.sizes = {32};
   s.deltas = {1.0};
   s.cs = {2.5};
   s.seeds = 2;
-  const auto trials = expand(s);
+  // The same cells under the congest model and priced on 4 and 8 machines.
+  auto trials = expand(s);
+  s.model = ExecutionModel::kKMachine;
+  const auto priced = expand(s);
+  trials.insert(trials.end(), priced.begin(), priced.end());
   std::map<std::uint64_t, std::vector<const TrialConfig*>> by_trial;
   for (const auto& t : trials) by_trial[t.trial_index].push_back(&t);
   for (const auto& [index, members] : by_trial) {

@@ -19,15 +19,13 @@ TEST(ParseAlgorithm, AcceptsAllSpellings) {
   EXPECT_EQ(parse_algorithm("dhc2"), Algorithm::kDhc2);
   EXPECT_EQ(parse_algorithm("upcast"), Algorithm::kUpcast);
   EXPECT_EQ(parse_algorithm("collect-all"), Algorithm::kCollectAll);
-  EXPECT_EQ(parse_algorithm("dhc2-kmachine"), Algorithm::kDhc2KMachine);
   EXPECT_EQ(parse_algorithm("turau"), Algorithm::kTurau);
 }
 
 TEST(ParseAlgorithm, RoundTripsThroughToString) {
   for (const Algorithm a :
        {Algorithm::kSequential, Algorithm::kDra, Algorithm::kDhc1, Algorithm::kDhc2,
-        Algorithm::kUpcast, Algorithm::kCollectAll, Algorithm::kDhc2KMachine,
-        Algorithm::kTurau}) {
+        Algorithm::kUpcast, Algorithm::kCollectAll, Algorithm::kTurau, Algorithm::kCre}) {
     EXPECT_EQ(parse_algorithm(to_string(a)), a);
   }
 }
@@ -35,6 +33,8 @@ TEST(ParseAlgorithm, RoundTripsThroughToString) {
 TEST(ParseAlgorithm, RejectsUnknown) {
   EXPECT_THROW(parse_algorithm("dhc3"), std::invalid_argument);
   EXPECT_THROW(parse_algorithm(""), std::invalid_argument);
+  // The legacy alias is gone: k-machine pricing is the model axis.
+  EXPECT_THROW(parse_algorithm("dhc2-kmachine"), std::invalid_argument);
 }
 
 TEST(ParseExecutionModel, RoundTripsAndRejects) {
@@ -145,20 +145,24 @@ TEST(Expand, MergeStrategiesOnlyMultiplyDhc2Algorithms) {
   EXPECT_EQ(expand(s).size(), 2u);
 }
 
-TEST(Expand, MachinesOnlyMultiplyKMachineAlgorithm) {
+TEST(Expand, MachinesOnlyMultiplyKMachineModel) {
   Scenario s;
-  s.algos = {Algorithm::kDhc2, Algorithm::kDhc2KMachine};
+  s.algos = {Algorithm::kDhc2};
   s.machines = {4, 8, 16};
   s.seeds = 1;
-  const auto trials = expand(s);
-  // dhc2: 1 cell; dhc2-kmachine: 3 cells.
-  EXPECT_EQ(trials.size(), 4u);
-  EXPECT_EQ(trials[0].machines, 0u);
-  EXPECT_EQ(trials[0].model, ExecutionModel::kCongest);
-  EXPECT_EQ(trials[1].machines, 4u);
-  EXPECT_EQ(trials[1].model, ExecutionModel::kKMachine);  // legacy spelling
-  EXPECT_EQ(trials[3].machines, 16u);
-  EXPECT_EQ(trials[3].bandwidth, static_cast<std::uint64_t>(s.bandwidth));
+  // congest: 1 cell, no machines.
+  const auto plain = expand(s);
+  ASSERT_EQ(plain.size(), 1u);
+  EXPECT_EQ(plain[0].machines, 0u);
+  EXPECT_EQ(plain[0].model, ExecutionModel::kCongest);
+  // kmachine: one cell per machine count.
+  s.model = ExecutionModel::kKMachine;
+  const auto priced = expand(s);
+  ASSERT_EQ(priced.size(), 3u);
+  EXPECT_EQ(priced[0].machines, 4u);
+  EXPECT_EQ(priced[0].model, ExecutionModel::kKMachine);
+  EXPECT_EQ(priced[2].machines, 16u);
+  EXPECT_EQ(priced[2].bandwidth, static_cast<std::uint64_t>(s.bandwidth));
 }
 
 TEST(Expand, KMachineModelSweepsMachinesForEveryAlgorithm) {

@@ -11,8 +11,8 @@
 // Flags (all optional; scenario-file keys use the same names):
 //   --scenario=FILE   key = value scenario file; other flags override it
 //   --name=STR        scenario name recorded in the artifacts
-//   --algos=LIST      sequential|dra|dhc1|dhc2|upcast|collect-all|dhc2-kmachine|
-//                     turau|cre (cre = the linear-space sequential oracle)
+//   --algos=LIST      sequential|dra|dhc1|dhc2|upcast|collect-all|turau|cre
+//                     (cre = the linear-space sequential oracle)
 //   --model=STR       congest (default) | kmachine | async — kmachine runs
 //                     every selected algorithm through the k-machine
 //                     execution backend (paper §IV) and sweeps --k; async
@@ -24,7 +24,7 @@
 //   --cs=LIST         density constants
 //   --merges=LIST     minforward|fullqueue (DHC2-based algorithms)
 //   --k=LIST          machine counts for --model=kmachine (aliases:
-//                     --machines, --k_list; also the legacy dhc2-kmachine)
+//                     --machines, --k_list)
 //   --bandwidth=N     per-link messages/round for the k-machine pricing
 //   --delay_dist=LIST per-edge latency specs for --model=async, each
 //                     none | fixed:K | uniform:A:B | geometric:P
@@ -163,8 +163,7 @@ int main(int argc, char** argv) {
                    "[--delay_dist=...] [--drop_prob=...] [--crash_schedule=...] "
                    "[--reliability=none|ack] [--rto=SPEC] [--max_rounds=N] "
                    "[--seeds=N] [--threads=N] [--json=PATH] [--csv=PATH]\n"
-                   "algorithms: sequential|dra|dhc1|dhc2|upcast|collect-all|"
-                   "dhc2-kmachine|turau|cre\n"
+                   "algorithms: sequential|dra|dhc1|dhc2|upcast|collect-all|turau|cre\n"
                    "--model=kmachine prices any algorithm in the k-machine model "
                    "(sweeps --k machine counts).\n"
                    "--model=async injects seed-deterministic delivery delays "
