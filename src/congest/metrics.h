@@ -137,8 +137,7 @@ struct Metrics {
 
   /// Protocol-level sends only: `messages` minus the transport traffic the
   /// reliability overlay added.  The apples-to-apples message-complexity
-  /// number for paired comparisons across reliability modes (and the one the
-  /// bench gate pins for async presets).
+  /// number for paired comparisons across reliability modes.
   std::uint64_t payload_messages() const { return messages - retransmits - acks_sent; }
 
   /// Maximum over nodes of messages sent (congestion/load balance).  Reads

@@ -5,9 +5,10 @@
 // mean/median/p95 of rounds, messages, bits, peak memory over the
 // *successful* trials; means of every named stat over *all* trials), and
 // renders three views — an aligned support::Table for stdout, a JSON
-// artifact for the bench trajectory, and a CSV for spreadsheets.  All
-// serialization is deterministic: equal summaries produce byte-identical
-// output, which is how the thread-count-invariance tests compare runs.
+// artifact (what bench/golden/ pins byte for byte), and a CSV for
+// spreadsheets.  All serialization is deterministic: equal summaries
+// produce byte-identical output, which is how the thread-count-invariance
+// tests compare runs.
 #pragma once
 
 #include <cstdint>

@@ -470,4 +470,11 @@ Scenario scenario_from_cli(const support::Cli& cli) {
   return s;
 }
 
+std::set<std::string> scenario_flags() {
+  return {"scenario", "name", "algo", "algos", "model", "family", "sizes", "deltas",
+          "cs", "merges", "machines", "k", "k_list", "bandwidth", "seeds", "seed",
+          "node_stats", "delay_dist", "drop_prob", "crash_schedule", "reliability", "rto",
+          "max_rounds"};
+}
+
 }  // namespace dhc::runner

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -185,5 +186,10 @@ Scenario scenario_from_file(const std::string& path);
 /// otherwise defaults are used.  Flag names match the spec keys, with
 /// --algo/--algos and --seed/--seeds both accepted.
 Scenario scenario_from_cli(const support::Cli& cli);
+
+/// Every flag scenario_from_cli reads: the spec keys plus --scenario and the
+/// --k alias.  Drivers add their own flags and pass the union to
+/// support::Cli::reject_unknown.
+std::set<std::string> scenario_flags();
 
 }  // namespace dhc::runner

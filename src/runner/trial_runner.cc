@@ -7,6 +7,8 @@
 #include <optional>
 #include <stdexcept>
 
+#include <sys/resource.h>
+
 #include "async/async.h"
 #include "congest/fault_plan.h"
 #include "core/dhc1.h"
@@ -20,7 +22,6 @@
 #include "graph/generators.h"
 #include "graph/hamiltonian.h"
 #include "kmachine/kmachine.h"
-#include "runner/bench.h"
 #include "support/rng.h"
 #include "support/worker_pool.h"
 #include "trace/recorder.h"
@@ -297,6 +298,13 @@ TrialResult run_trial_unchecked(const TrialConfig& t, const TrialOptions& opt) {
   return out;
 }
 
+/// Process peak RSS in kilobytes (getrusage), 0 if unavailable.
+long current_peak_rss_kb() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return usage.ru_maxrss;  // kilobytes on Linux
+}
+
 }  // namespace
 
 TrialResult run_trial(const TrialConfig& t, bool verify, std::uint32_t shards) {
@@ -337,8 +345,7 @@ ResolvedParallelism resolve_parallelism(std::size_t trial_count, const RunnerOpt
   if (trial_count == 0) {
     // Nothing to run: report the neutral 1×1 split instead of falling into
     // the few-huge-trials branch, which would hand the whole budget to the
-    // shard axis of trials that don't exist (and record that fiction in
-    // bench artifacts).
+    // shard axis of trials that don't exist.
     return r;
   }
   if (opt.shards != 0) {
@@ -371,14 +378,9 @@ ResolvedParallelism resolve_parallelism(std::size_t trial_count, const RunnerOpt
 
 std::vector<TrialResult> run_trials(const std::vector<TrialConfig>& trials,
                                     const RunnerOptions& opt) {
-  return run_trials(trials, opt, resolve_parallelism(trials.size(), opt));
-}
-
-std::vector<TrialResult> run_trials(const std::vector<TrialConfig>& trials,
-                                    const RunnerOptions& opt,
-                                    const ResolvedParallelism& par) {
   std::vector<TrialResult> results(trials.size());
   if (trials.empty()) return results;
+  const ResolvedParallelism par = resolve_parallelism(trials.size(), opt);
 
   // Workers claim trial indices from the pool's shared cursor and write into
   // their own slot; result content depends only on (TrialConfig, verify) —

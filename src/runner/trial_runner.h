@@ -101,7 +101,7 @@ struct TrialOptions {
 /// each simulated with `shards` shards (threads × shards stays within the
 /// clamped budget; an explicit RunnerOptions::shards is honored as the
 /// partition count, and the in-trial pool caps its own workers at the
-/// hardware).  Recorded in artifacts so bench JSONs are self-describing.
+/// hardware).  dhc_run prints it before a run.
 struct ResolvedParallelism {
   unsigned threads = 1;
   std::uint32_t shards = 1;
@@ -127,17 +127,10 @@ TrialResult run_trial(const TrialConfig& t, bool verify = true, std::uint32_t sh
 /// file is a trial failure (reported, never thrown).
 TrialResult run_trial(const TrialConfig& t, const TrialOptions& opt);
 
-/// Runs all trials on a worker pool and returns results in trial order.
-/// Aggregate-relevant fields are identical for every `opt.threads` /
-/// `opt.shards` value.
+/// Runs all trials on a worker pool, split as resolve_parallelism(trials,
+/// opt) says, and returns results in trial order.  Aggregate-relevant fields
+/// are identical for every `opt.threads` / `opt.shards` value.
 std::vector<TrialResult> run_trials(const std::vector<TrialConfig>& trials,
                                     const RunnerOptions& opt = {});
-
-/// Same, with the thread/shard split already resolved — callers that record
-/// the split in an artifact (run_bench_preset) pass the exact value they
-/// recorded, so the artifact can never drift from what ran.
-std::vector<TrialResult> run_trials(const std::vector<TrialConfig>& trials,
-                                    const RunnerOptions& opt,
-                                    const ResolvedParallelism& par);
 
 }  // namespace dhc::runner

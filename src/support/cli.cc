@@ -22,6 +22,12 @@ Cli::Cli(int argc, const char* const* argv) {
 
 bool Cli::has(const std::string& key) const { return flags_.contains(key); }
 
+void Cli::reject_unknown(const std::set<std::string>& known) const {
+  for (const auto& [key, value] : flags_) {
+    if (!known.contains(key)) throw std::invalid_argument("unknown flag --" + key);
+  }
+}
+
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,11 @@ class Cli {
   Cli(int argc, const char* const* argv);
 
   bool has(const std::string& key) const;
+
+  /// Throws std::invalid_argument("unknown flag --X") for the first flag
+  /// whose key is not in `known`, so a typo fails instead of running the
+  /// defaults.
+  void reject_unknown(const std::set<std::string>& known) const;
 
   /// Typed getters; return `fallback` when the flag is absent and throw
   /// std::invalid_argument when present but malformed.

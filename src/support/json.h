@@ -1,11 +1,11 @@
 // A minimal JSON value + recursive-descent parser.
 //
-// Powers the trace reader (NDJSON lines) and the bench regression gate
-// (comparing BENCH_*.json artifacts), so it only needs to parse what libdhc
-// itself writes: objects, arrays, strings with \"/\\/\uXXXX escapes, numbers,
-// true/false/null.  Numbers are kept both ways — as double and, when the
-// text is integral and in range, as uint64 — because trace counters are
-// 64-bit and must not round-trip through a double.
+// Powers the trace reader (NDJSON lines, trace/reader.h), so it only needs
+// to parse what libdhc itself writes: objects, arrays, strings with
+// \"/\\/\uXXXX escapes, numbers, true/false/null.  Numbers are kept both
+// ways — as double and, when the text is integral and in range, as uint64 —
+// because trace counters are 64-bit and must not round-trip through a
+// double.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +61,8 @@ class JsonValue {
   const JsonValue& get(const std::string& key) const;
   const JsonValue* find(const std::string& key) const;
 
-  /// Convenience: get(key).as_u64() / as_double() / as_string().
+  /// Convenience: get(key).as_u64() / as_string().
   std::uint64_t u64(const std::string& key) const { return get(key).as_u64(); }
-  double number(const std::string& key) const { return get(key).as_double(); }
   const std::string& str(const std::string& key) const { return get(key).as_string(); }
 
  private:

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -351,6 +353,49 @@ TEST(ScenarioFromCli, RejectsMalformedFlags) {
   const char* argv[] = {"prog", "--algos=warp"};
   const support::Cli cli(2, argv);
   EXPECT_THROW(scenario_from_cli(cli), std::invalid_argument);
+}
+
+TEST(ScenarioFromCli, ScenarioFlagsAcceptAliasesAndRejectTypos) {
+  const char* argv[] = {"prog", "--scenario=f.scn", "--algo=dra", "--k=4", "--seeds=2"};
+  EXPECT_NO_THROW(support::Cli(5, argv).reject_unknown(scenario_flags()));
+  const char* typo[] = {"prog", "--sizez=64"};
+  EXPECT_THROW(support::Cli(2, typo).reject_unknown(scenario_flags()), std::invalid_argument);
+}
+
+// The workload scenarios under bench/scenarios/ (DHC_BENCH_DIR is the bench/
+// directory): a malformed file fails here, not only in the workload check.
+std::set<std::string> bench_scenario_names() {
+  std::set<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::filesystem::path(DHC_BENCH_DIR) / "scenarios")) {
+    if (entry.path().extension() == ".scn") names.insert(entry.path().stem().string());
+  }
+  return names;
+}
+
+TEST(BenchScenarios, EveryFileParsesValidatesAndExpands) {
+  const auto names = bench_scenario_names();
+  ASSERT_FALSE(names.empty());
+  for (const auto& name : names) {
+    SCOPED_TRACE(name);
+    const Scenario s =
+        scenario_from_file(std::string(DHC_BENCH_DIR) + "/scenarios/" + name + ".scn");
+    EXPECT_NO_THROW(s.validate());
+    EXPECT_GE(expand(s).size(), 1u);
+  }
+}
+
+TEST(BenchScenarios, EveryGoldenHasAScenarioAndEveryFormerPresetExists) {
+  const auto names = bench_scenario_names();
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::filesystem::path(DHC_BENCH_DIR) / "golden")) {
+    EXPECT_TRUE(names.contains(entry.path().stem().string())) << entry.path();
+  }
+  for (const char* preset : {"comparison", "comparison-1k", "dhc2-grid", "kmachine-sweep",
+                             "mem-probe-full", "mem-probe-streaming", "fault-sweep",
+                             "mem-flatten", "perf-smoke"}) {
+    EXPECT_TRUE(names.contains(preset)) << preset;
+  }
 }
 
 }  // namespace

@@ -84,6 +84,18 @@ TEST(Cli, MalformedValuesThrow) {
   EXPECT_THROW(cli.get_bool("flag", false), std::invalid_argument);
 }
 
+TEST(Cli, RejectUnknownThrowsOnTheStrayFlagOnly) {
+  const auto cli = make_cli({"--sizez=64", "--seeds=1"});
+  try {
+    cli.reject_unknown({"sizes", "seeds"});
+    FAIL() << "a flag outside the known set must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --sizez");
+  }
+  EXPECT_NO_THROW(make_cli({"--seeds=1", "--help"}).reject_unknown({"seeds", "help"}));
+  EXPECT_NO_THROW(make_cli({}).reject_unknown({}));
+}
+
 TEST(Cli, PositionalArgumentRejected) {
   std::vector<const char*> argv{"prog", "positional"};
   EXPECT_THROW(Cli(2, argv.data()), std::invalid_argument);

@@ -61,22 +61,19 @@
 //                     is machine-dependent, so artifacts that must be
 //                     bitwise-comparable across thread counts leave it off)
 //
-// Benchmark mode (perf trajectory; see README "Performance tracking"):
-//   --bench=LIST      run the named presets (or "all"); prints throughput and
-//                     writes the BENCH artifact instead of scenario output
-//   --bench-json=PATH BENCH artifact path (default BENCH_congest.json)
+// Unknown flags are rejected (exit 2), so a typo never runs the defaults.
+// The workload pins are scenario files: bench/scenarios/*.scn, checked
+// against bench/golden/ by bench/check_workloads.py.
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <sstream>
+#include <set>
 #include <stdexcept>
-#include <vector>
 
 #include "runner/aggregator.h"
-#include "runner/bench.h"
 #include "runner/scenario.h"
 #include "runner/trial_runner.h"
 #include "support/cli.h"
@@ -102,60 +99,15 @@ void write_artifact(const std::string& path, const std::string& what,
   std::cout << what << " artifact: " << path << "\n";
 }
 
-int run_bench_mode(const dhc::support::Cli& cli) {
-  using namespace dhc;
-  runner::RunnerOptions opt;
-  opt.threads = cli.has("threads") ? checked_unsigned(cli, "threads", 1 << 20) : 1;
-  opt.verify = cli.get_bool("verify", true);
-  opt.shards = checked_unsigned(cli, "shards", 1 << 20);
-
-  std::vector<const runner::BenchPreset*> selected;
-  // A bare `--bench` is stored by Cli as "true"; treat it like "all".
-  const std::string spec = cli.get_string("bench", "all");
-  if (spec.empty() || spec == "all" || spec == "true") {
-    for (const auto& p : runner::bench_presets()) selected.push_back(&p);
-  } else {
-    std::istringstream is(spec);
-    std::string name;
-    while (std::getline(is, name, ',')) {
-      const auto* p = runner::find_bench_preset(name);
-      if (p == nullptr) {
-        std::string known;
-        for (const auto& q : runner::bench_presets()) known += " " + q.name;
-        throw std::invalid_argument("unknown bench preset '" + name + "' (known:" + known + ")");
-      }
-      selected.push_back(p);
-    }
-  }
-  if (selected.empty()) throw std::invalid_argument("--bench selected no presets");
-
-  std::vector<runner::BenchMeasurement> measurements;
-  for (const auto* p : selected) {
-    std::cout << "bench '" << p->name << "': " << p->description << "\n";
-    measurements.push_back(runner::run_bench_preset(*p, opt));
-    const auto& m = measurements.back();
-    std::cout << "  " << m.trials << " trials (" << m.successes << " ok, " << m.threads
-              << " thread(s) x " << m.shards << " shard(s)) in " << m.wall_seconds
-              << " s — " << m.trials_per_sec << " trials/s, " << m.messages_per_sec
-              << " msgs/s, peak RSS " << m.rss_peak_kb << " kB, arena peak "
-              << m.arena_bytes_peak << " B\n";
-  }
-
-  const std::string path = cli.get_string("bench-json", "BENCH_congest.json");
-  if (!path.empty()) {
-    write_artifact(path, "BENCH", [&](std::ostream& os) {
-      runner::write_bench_json(os, measurements, opt.threads, opt.shards);
-    });
-  }
-  return EXIT_SUCCESS;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace dhc;
   try {
     const support::Cli cli(argc, argv);
+    std::set<std::string> known = runner::scenario_flags();
+    known.insert({"help", "threads", "shards", "verify", "track_rss", "trace", "json", "csv"});
+    cli.reject_unknown(known);
     if (cli.has("help")) {
       std::cout << "usage: dhc_run [--scenario=FILE] [--algos=...] "
                    "[--model=congest|kmachine|async] "
@@ -163,6 +115,7 @@ int main(int argc, char** argv) {
                    "[--delay_dist=...] [--drop_prob=...] [--crash_schedule=...] "
                    "[--reliability=none|ack] [--rto=SPEC] [--max_rounds=N] "
                    "[--seeds=N] [--threads=N] [--json=PATH] [--csv=PATH]\n"
+                   "Unknown flags are an error (exit 2).\n"
                    "algorithms: sequential|dra|dhc1|dhc2|upcast|collect-all|turau|cre\n"
                    "--model=kmachine prices any algorithm in the k-machine model "
                    "(sweeps --k machine counts).\n"
@@ -172,10 +125,6 @@ int main(int argc, char** argv) {
                    "retransmit overlay (tune with --rto).\n"
                    "See the header of tools/dhc_run.cc for the full flag list.\n";
       return EXIT_SUCCESS;
-    }
-    const std::string bench_spec = cli.get_string("bench", "");
-    if (cli.has("bench") && bench_spec != "false" && bench_spec != "0") {
-      return run_bench_mode(cli);
     }
     const runner::Scenario scenario = runner::scenario_from_cli(cli);
     runner::RunnerOptions opt;
