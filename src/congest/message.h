@@ -11,8 +11,10 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 
 #include "graph/graph.h"
+#include "support/require.h"
 
 namespace dhc::congest {
 
@@ -24,35 +26,53 @@ inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 /// Maximum payload words per message (each word ≈ one ⌈log₂ n⌉-bit field).
 inline constexpr std::size_t kMaxWords = 4;
 
-/// One CONGEST message.  `tag` identifies the protocol-level message type;
-/// `data[0..words)` are the payload fields.
-///
-/// `rel_seq`/`rel_ack` are the reliable-delivery overlay header
-/// (congest/reliable.h): a per-directed-link sequence number (0 = unstamped
-/// — synchronous runs and reliability=none leave both fields untouched) and
-/// the piggybacked cumulative ack for the reverse direction.  A message with
-/// rel_seq == 0 and rel_ack > 0 is a standalone ack (transport-only, never
-/// delivered to the protocol).  The header rides free in the bit accounting:
-/// real stacks fold seq/ack numbers into the O(1) framing the tag byte
-/// already stands for.
+/// One CONGEST message: 28 bytes.  `tag` identifies the protocol-level
+/// message type; `data[0..words)` are the payload fields.  Every payload the
+/// solvers send is a node id, position, size, step count or sequence number,
+/// bounded by n or the round limit, so one word is 32 bits: a wider word
+/// would already break the CONGEST budget (NodeId is 32-bit and a word costs
+/// ⌈log₂ n⌉ bits).  make() enforces both the word count and the word range.
 struct Message {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
   std::uint16_t tag = 0;
   std::uint16_t words = 0;
-  std::uint32_t rel_seq = 0;
-  std::uint32_t rel_ack = 0;
-  std::array<std::int64_t, kMaxWords> data{};
+  std::array<std::uint32_t, kMaxWords> data{};
 
-  /// Convenience constructor: tag + up to kMaxWords payload words.
+  /// Convenience constructor: tag + up to kMaxWords payload words, each in
+  /// [0, 2^32).  Throws support::InvariantViolation otherwise.
   static Message make(std::uint16_t tag, std::initializer_list<std::int64_t> payload = {}) {
+    DHC_CHECK(payload.size() <= kMaxWords,
+              "message of tag " << tag << " has " << payload.size() << " payload words (max "
+                                << kMaxWords << ")");
     Message m;
     m.tag = tag;
     for (const std::int64_t w : payload) {
-      m.data[m.words++] = w;
+      DHC_CHECK((static_cast<std::uint64_t>(w) >> 32) == 0,
+                "payload word " << w << " of tag " << tag << " outside [0, 2^32)");
+      m.data[m.words++] = static_cast<std::uint32_t>(w);
     }
     return m;
   }
+};
+
+// Pinned: Metrics::arena_bytes_peak is in-flight messages × sizeof(Message).
+static_assert(sizeof(Message) == 28, "Message layout changed; arena_bytes_peak goldens move");
+
+/// A message in transit under the async model (DESIGN.md §8–9): the message
+/// plus the reliable-delivery overlay header (congest/reliable.h).  `seq` is
+/// a per-directed-link sequence number (0 = unstamped: reliability=none
+/// leaves both fields at 0) and `ack` the piggybacked cumulative ack for the
+/// reverse direction.  A frame with seq == 0 and ack > 0 is a standalone ack
+/// (transport-only, never delivered to the protocol).  Only the async delay
+/// structures and the overlay's buffers hold frames; maturation strips the
+/// header before the message reaches the inbox, so synchronous runs never
+/// carry it.  The header rides free in the bit accounting: real stacks fold
+/// seq/ack numbers into the O(1) framing the tag byte already stands for.
+struct Frame {
+  Message msg;
+  std::uint32_t seq = 0;
+  std::uint32_t ack = 0;
 };
 
 /// Bits for a message of `words` payload words when one word costs

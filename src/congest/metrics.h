@@ -37,6 +37,8 @@ struct NodeStatSummary {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
+
+  friend bool operator==(const NodeStatSummary&, const NodeStatSummary&) = default;
 };
 
 /// Per-run cost measurements, populated by Network::run.
@@ -64,10 +66,11 @@ struct Metrics {
   bool hit_round_limit = false;
 
   /// High-water mark of the simulator's message arenas, in bytes: the
-  /// per-round maximum of logical messages in flight (outbox log + inbox
-  /// arena + async delay wheel/far map) × sizeof(Message).  Counts logical
-  /// occupancy, never vector capacities, so it is bitwise identical across
-  /// shard counts and arena-budget settings.
+  /// per-round maximum of logical messages in flight (outbox and shard logs
+  /// + inbox arena + async delay wheel/far map) × sizeof(Message), which is
+  /// 28 B; an async frame's 8-byte overlay header is not counted.  Counts
+  /// logical occupancy, never vector capacities, so it is bitwise identical
+  /// across shard counts and arena-budget settings.
   std::uint64_t arena_bytes_peak = 0;
 
   /// Async-model fault accounting (all zero on synchronous runs).  Note the
@@ -160,6 +163,9 @@ struct Metrics {
   /// it (protocols re-enter phases — DHC2 marks "merge" once per level; a
   /// span ends at the next mark, the last one at rounds + 1).
   std::uint64_t phase_rounds(const std::string& label) const;
+
+  /// Field-for-field equality (shard- and budget-invariance checks).
+  friend bool operator==(const Metrics&, const Metrics&) = default;
 };
 
 std::string to_string(NodeStatsMode mode);

@@ -304,21 +304,17 @@ std::uint64_t Network::next_armed_round() const {
 
 void Network::enqueue_async(NodeId from, NodeId to, const Message& msg) {
   const std::size_t edge_id = edge_offsets_[from] + graph_->neighbor_rank(from, to);
-  if (reliable_ == nullptr) {
-    file_async(from, to, edge_id, msg);
-    return;
-  }
+  Frame frame{msg};
+  frame.msg.from = from;
+  frame.msg.to = to;
   // Reliable overlay: stamp a fresh seq + piggyback ack and buffer the copy
   // *before* the drop decision — a first send lost in transit must still be
   // retransmittable.
-  Message stamped = msg;
-  stamped.from = from;
-  stamped.to = to;
-  reliable_->stamp_and_buffer(edge_id, stamped, round_);
-  file_async(from, to, edge_id, stamped);
+  if (reliable_ != nullptr) reliable_->stamp_and_buffer(edge_id, frame, round_);
+  file_async(edge_id, frame);
 }
 
-void Network::file_async(NodeId from, NodeId to, std::size_t edge_id, const Message& msg) {
+void Network::file_async(std::size_t edge_id, const Frame& frame) {
   // Each directed link serializes at one message per round: a message
   // departs at the later of "now" and the link's next free slot, so a
   // same-round burst (legal here — a node answering several delayed
@@ -328,6 +324,8 @@ void Network::file_async(NodeId from, NodeId to, std::size_t edge_id, const Mess
   // arrivals stay in send order (FIFO) with or without queueing; a
   // sync-legal schedule never queues, keeping latency-1 runs bitwise
   // equal to the synchronous engine.
+  const NodeId from = frame.msg.from;
+  const NodeId to = frame.msg.to;
   std::uint64_t& free_at = link_free_at_[edge_id];
   const std::uint64_t depart = std::max(round_, free_at);
   free_at = depart + 1;
@@ -345,9 +343,7 @@ void Network::file_async(NodeId from, NodeId to, std::size_t edge_id, const Mess
   } else {
     ++far_msg_armed_;
   }
-  Message& slot = bucket.emplace_back(msg);
-  slot.from = from;
-  slot.to = to;
+  bucket.push_back(frame);
 }
 
 void Network::service_transport() {
@@ -360,9 +356,10 @@ void Network::service_transport() {
   transport_batch_.clear();
   reliable_->collect_due(
       round_, [&](NodeId v) { return faults_->crashed(v, round_); }, transport_batch_);
-  for (const Message& m : transport_batch_) {
+  for (const Frame& f : transport_batch_) {
+    const Message& m = f.msg;
     const std::size_t edge_id = edge_offsets_[m.from] + graph_->neighbor_rank(m.from, m.to);
-    if (m.rel_seq != 0) {
+    if (f.seq != 0) {
       metrics_.retransmits += 1;
       metrics_.bits += message_bits_for(m.words, bits_per_word_);
     } else {
@@ -370,7 +367,7 @@ void Network::service_transport() {
       metrics_.bits += message_bits_for(0, bits_per_word_);
     }
     metrics_.messages += 1;
-    file_async(m.from, m.to, edge_id, m);
+    file_async(edge_id, f);
   }
 }
 
@@ -405,8 +402,9 @@ void Network::mature_async_messages() {
     if (inbox_count_[m.to]++ == 0) next_active_.push_back(m.to);
     outbox_.push_back(m);
   };
-  const auto deliver = [&](std::vector<Message>& msgs) {
-    for (const Message& m : msgs) {
+  const auto deliver = [&](std::vector<Frame>& frames) {
+    for (const Frame& f : frames) {
+      const Message& m = f.msg;
       if (faults_->crashed(m.to, round_)) {
         // Crashed receivers lose even overlay traffic — no ack forms, so the
         // sender's timer keeps the payload alive until after the rejoin.
@@ -423,7 +421,7 @@ void Network::mature_async_messages() {
       // count); an in-order payload releases any buffered successors with
       // it, in seq order.
       const std::size_t edge = edge_offsets_[m.from] + graph_->neighbor_rank(m.from, m.to);
-      switch (reliable_->on_arrival(edge, m, round_)) {
+      switch (reliable_->on_arrival(edge, f, round_)) {
         case ReliableOverlay::Arrival::kAck:
           break;
         case ReliableOverlay::Arrival::kBuffer:
@@ -435,7 +433,7 @@ void Network::mature_async_messages() {
           deliver_one(m);
           drain_batch_.clear();
           reliable_->drain_in_order(edge, drain_batch_);
-          for (const Message& d : drain_batch_) deliver_one(d);
+          for (const Frame& d : drain_batch_) deliver_one(d.msg);
           break;
       }
     }
@@ -533,50 +531,57 @@ void Network::deliver_and_build_active_set() {
 
   if (faults_ != nullptr && faults_->crashes_active()) filter_crashed_active();
 
-  // Stable scatter: outbox send order becomes per-node arrival order.
-  inbox_live_ = outbox_.size();
-  if (inbox_arena_.size() < outbox_.size()) {
+  // Stable scatter: global send order becomes per-node arrival order.  The
+  // outbox log comes first, then the shard logs in shard order — the
+  // concatenation the sequential stepper would have built (DESIGN.md §5).
+  const std::size_t live = mail_in_flight();
+  inbox_live_ = live;
+  if (inbox_arena_.size() < live) {
     // Budgeted runs reserve exactly what this round needs; unbudgeted runs
     // keep vector growth (amortized doubling) for raw speed.
-    if (arena_budget_bytes_ != 0) inbox_arena_.reserve(outbox_.size());
-    inbox_arena_.resize(outbox_.size());
+    if (arena_budget_bytes_ != 0) inbox_arena_.reserve(live);
+    inbox_arena_.resize(live);
   }
-  for (const Message& m : outbox_) inbox_arena_[inbox_cursor_[m.to]++] = m;
-  outbox_.clear();
+  const auto scatter = [&](std::vector<Message>& log) {
+    for (const Message& m : log) inbox_arena_[inbox_cursor_[m.to]++] = m;
+    log.clear();
+  };
+  scatter(outbox_);
+  if (parked_ != 0) {
+    for (ShardState& sh : shard_state_) scatter(sh.outbox);
+    parked_ = 0;
+  }
 }
 
 void Network::sample_and_trim_arenas() {
   // Logical in-flight messages at the round epilogue: sends queued for next
-  // round (outbox log), this round's delivered inboxes, and everything
-  // parked in the async delay structures.  Logical counts only — vector
-  // capacities differ across shard counts, these numbers never do.
-  const std::uint64_t in_flight =
-      static_cast<std::uint64_t>(outbox_.size()) + inbox_live_ + delay_armed_ + far_msg_armed_;
+  // round (outbox and shard logs), this round's delivered inboxes, and
+  // everything parked in the async delay structures, at sizeof(Message)
+  // each (a frame's overlay header is not counted).  Logical counts only —
+  // vector capacities differ across shard counts, these numbers never do.
+  const std::uint64_t in_flight = static_cast<std::uint64_t>(mail_in_flight()) + inbox_live_ +
+                                  delay_armed_ + far_msg_armed_;
   const std::uint64_t bytes = in_flight * sizeof(Message);
   if (bytes > metrics_.arena_bytes_peak) metrics_.arena_bytes_peak = bytes;
   if (arena_budget_bytes_ == 0) return;
 
   // Budget enforcement is a pure capacity policy: reserved-but-idle slots
   // are released when they exceed the budget, contents are never touched.
-  const auto bytes_of = [](const std::vector<Message>& v) {
-    return v.capacity() * sizeof(Message);
-  };
+  const auto bytes_of = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   std::size_t reserved = bytes_of(outbox_) + bytes_of(inbox_arena_);
   for (const auto& b : delay_wheel_) reserved += bytes_of(b);
   for (const ShardState& sh : shard_state_) reserved += bytes_of(sh.outbox);
   if (reserved <= arena_budget_bytes_) return;
 
   // The inbox arena was fully consumed by this round's steps; next round
-  // rebuilds it from the outbox, so its floor is the current outbox size.
-  inbox_arena_.resize(outbox_.size());
+  // rebuilds it from the outbox and shard logs, so their total is its floor.
+  inbox_arena_.resize(mail_in_flight());
   inbox_arena_.shrink_to_fit();
   outbox_.shrink_to_fit();  // keeps contents, drops slack
   for (auto& b : delay_wheel_) {
-    if (b.empty() && b.capacity() != 0) std::vector<Message>().swap(b);
+    if (b.empty() && b.capacity() != 0) std::vector<Frame>().swap(b);
   }
-  for (ShardState& sh : shard_state_) {
-    if (sh.outbox.empty()) sh.outbox.shrink_to_fit();
-  }
+  for (ShardState& sh : shard_state_) sh.outbox.shrink_to_fit();
 }
 
 void Network::step_active_set(Protocol& protocol) {
@@ -642,9 +647,10 @@ void Network::merge_shard_logs() {
   // Serial replay of the receiver-side bookkeeping, in shard order.  Shards
   // are contiguous slices of the id-sorted active set and each shard's log
   // is in its own send order, so this loop walks the messages in exactly
-  // the global sequential send order: next_active_ first-touch order, inbox
-  // scatter order, wheel bucket contents, and the observer event stream all
-  // come out identical to the sequential stepper's.
+  // the global sequential send order: next_active_ first-touch order, wheel
+  // bucket contents, and the observer event stream all come out identical
+  // to the sequential stepper's.  Synchronous sends stay parked in the
+  // shard logs; the next delivery scatters them in this same order.
   for (ShardState& sh : shard_state_) {
     metrics_.messages += sh.messages;
     metrics_.bits += sh.bits;
@@ -660,19 +666,15 @@ void Network::merge_shard_logs() {
       // and round, so this serial replay makes exactly the decisions the
       // sequential path makes — shard invariance needs no extra argument.
       for (const Message& m : sh.outbox) enqueue_async(m.from, m.to, m);
-    } else if (node_stats_ == NodeStatsMode::kFull) {
-      for (const Message& m : sh.outbox) {
-        metrics_.node_messages_received[m.to] += 1;
-        if (inbox_count_[m.to]++ == 0) next_active_.push_back(m.to);
-      }
-      outbox_.insert(outbox_.end(), sh.outbox.begin(), sh.outbox.end());
+      sh.outbox.clear();
     } else {
+      const bool full = node_stats_ == NodeStatsMode::kFull;
       for (const Message& m : sh.outbox) {
+        if (full) metrics_.node_messages_received[m.to] += 1;
         if (inbox_count_[m.to]++ == 0) next_active_.push_back(m.to);
       }
-      outbox_.insert(outbox_.end(), sh.outbox.begin(), sh.outbox.end());
+      parked_ += sh.outbox.size();
     }
-    sh.outbox.clear();
     for (const auto& [delay, v] : sh.wakeups) arm_wakeup(v, delay);
     sh.wakeups.clear();
   }
@@ -729,7 +731,7 @@ Metrics Network::run(Protocol& protocol) {
   while (true) {
     const bool delivery_pending = faults_ != nullptr && any_delivery_pending();
     const bool transport_pending = reliable_ != nullptr && reliable_->any_pending();
-    if (outbox_.empty() && !any_wakeup_armed() && !delivery_pending && !transport_pending) {
+    if (mail_in_flight() == 0 && !any_wakeup_armed() && !delivery_pending && !transport_pending) {
       if (!protocol.on_quiescence(*this)) break;
       metrics_.barrier_count += 1;
       if (tracing) cfg_.trace->on_barrier(round_, metrics_.barrier_cost_rounds);
@@ -750,7 +752,7 @@ Metrics Network::run(Protocol& protocol) {
                 "async advance with neither deliveries, transport timers, nor wake-ups pending");
       round_ = next;
     } else {
-      round_ = outbox_.empty() ? next_armed_round() : round_ + 1;
+      round_ = mail_in_flight() == 0 ? next_armed_round() : round_ + 1;
     }
     if (round_ > cfg_.max_rounds) {
       metrics_.hit_round_limit = true;
@@ -758,7 +760,7 @@ Metrics Network::run(Protocol& protocol) {
       // pending deliveries, armed retransmit/ack timers) hit the limit mid
       // flight — e.g. turau's delay livelock; one with only wake-up polling
       // left is the drop-stall signature (nothing will ever arrive again).
-      metrics_.round_limit_live = !outbox_.empty() ||
+      metrics_.round_limit_live = mail_in_flight() != 0 ||
                                   (faults_ != nullptr && any_delivery_pending()) ||
                                   (reliable_ != nullptr && reliable_->any_pending());
       break;

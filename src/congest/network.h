@@ -8,26 +8,27 @@
 // not n × rounds.
 //
 // Memory layout (DESIGN.md §4): the hot path is allocation-free in the
-// steady state.  Sends append to a flat outbox log; at the next round's
-// delivery the log is scattered — stably, so per-node arrival order is the
-// global send order, exactly as the old per-node queues behaved — into a
-// flat inbox arena in which every active node owns one contiguous slice.
-// inbox() is a span over that slice.  Wake-ups live in a fixed-size bucket
-// wheel indexed by round (far-future wake-ups overflow into a small heap)
-// instead of a std::map.  Both arenas and all wheel buckets are reused
-// across rounds.
+// steady state.  Sends append 28-byte Messages to a flat outbox log (or, on
+// sharded rounds, to the shard logs); at the next round's delivery the logs
+// are scattered — stably, so per-node arrival order is the global send
+// order, exactly as the old per-node queues behaved — into a flat inbox
+// arena in which every active node owns one contiguous slice.  inbox() is a
+// span over that slice.  Wake-ups live in a fixed-size bucket wheel indexed
+// by round (far-future wake-ups overflow into a small heap) instead of a
+// std::map.  All arenas and wheel buckets are reused across rounds.
 //
 // Sharded rounds (DESIGN.md §5): with cfg.shards > 1, large rounds step the
 // id-sorted active set as contiguous shard slices on a persistent worker
 // pool.  Each shard appends sends, wake-ups, and observer events to its own
 // logs; a serial merge in shard order then replays the receiver-side
-// bookkeeping.  Because the shards are contiguous slices of the id-sorted
-// active set, concatenating the shard logs reproduces the sequential global
-// send order exactly — the stable scatter, per-node inbox order, wheel
-// bucket contents, per-node RNG streams, and every Metrics counter are
-// bitwise identical for any shard count (including 1).  The shard partition
-// is independent of how many pool threads execute it, so determinism never
-// depends on the machine.
+// bookkeeping, and the next delivery scatters the outbox log and then the
+// shard logs in shard order, with no intermediate copy.  Because the shards
+// are contiguous slices of the id-sorted active set, that order is the
+// sequential global send order exactly — the stable scatter, per-node inbox
+// order, wheel bucket contents, per-node RNG streams, and every Metrics
+// counter are bitwise identical for any shard count (including 1).  The
+// shard partition is independent of how many pool threads execute it, so
+// determinism never depends on the machine.
 //
 // Phase barriers: when the network goes quiescent (no messages in flight, no
 // wake-ups armed) the protocol's on_quiescence() hook runs; it can advance
@@ -77,8 +78,10 @@ namespace internal {
 
 /// Thread-local log of one shard's round: sends, wake-ups, observer events,
 /// and the shard's slice of the global counters.  Merged serially in shard
-/// order after the parallel section; cleared (capacity kept) every round.
-/// Cache-line aligned so neighboring shards' counters never share a line.
+/// order after the parallel section and cleared (capacity kept); on
+/// synchronous rounds the outbox instead stays parked until the next
+/// delivery scatters it straight into the inbox arena.  Cache-line aligned
+/// so neighboring shards' counters never share a line.
 struct alignas(64) ShardState {
   std::vector<Message> outbox;
   std::vector<std::pair<std::uint64_t, NodeId>> wakeups;  // (delay, node)
@@ -158,14 +161,14 @@ struct NetworkConfig : EngineOptions {
   /// overhead).  0 resolves DHC_SHARD_GRAIN (absent/invalid → 32).
   std::uint32_t shard_grain = 0;
 
-  /// Byte budget for the message arenas (outbox log, inbox arena, async
-  /// delay wheel).  0 resolves DHC_ARENA_BUDGET (absent → unbounded).  When
-  /// bounded, arena growth reserves exactly what a round needs (no geometric
-  /// doubling past the budget) and capacities shrink back to the in-flight
-  /// footprint whenever the reserved bytes exceed the budget.  Purely a
-  /// capacity policy: every counter and result is bitwise identical for
-  /// every setting — Metrics::arena_bytes_peak reports logical occupancy,
-  /// which the budget never changes.
+  /// Byte budget for the message arenas (outbox and shard logs, inbox arena,
+  /// async delay wheel).  0 resolves DHC_ARENA_BUDGET (absent → unbounded).
+  /// When bounded, arena growth reserves exactly what a round needs (no
+  /// geometric doubling past the budget) and capacities shrink back to the
+  /// in-flight footprint whenever the reserved bytes exceed the budget.
+  /// Purely a capacity policy: every counter and result is bitwise identical
+  /// for every setting — Metrics::arena_bytes_peak reports logical
+  /// occupancy, which the budget never changes.
   std::uint64_t arena_budget_bytes = 0;
 };
 
@@ -324,6 +327,9 @@ class Network {
   void sample_and_trim_arenas();
   void step_sharded(Protocol& protocol);
   void merge_shard_logs();
+  /// Synchronous messages awaiting the next delivery: the outbox log plus
+  /// the sends parked in the shard logs.
+  std::size_t mail_in_flight() const { return outbox_.size() + parked_; }
   void emit_round_trace(std::uint64_t sent, std::uint64_t bits, std::uint64_t wakeups,
                         std::uint64_t wall_ns);
   std::uint64_t next_armed_round() const;
@@ -333,23 +339,24 @@ class Network {
   // --- async delivery (cfg.faults != nullptr) ---
 
   /// Routes one committed send through the fault plan: dropped messages
-  /// vanish (counted), surviving ones are filed in the message delay wheel
-  /// (or the far map) under round_ + latency.  With the reliable overlay
-  /// engaged, the message is seq-stamped and buffered for retransmission
-  /// first.  Serial only: called from the sequential send path and from the
-  /// shard-log merge, never from inside a parallel section.
+  /// vanish (counted), surviving ones are framed and filed in the message
+  /// delay wheel (or the far map) under round_ + latency.  With the reliable
+  /// overlay engaged, the frame is seq-stamped and buffered for
+  /// retransmission first.  Serial only: called from the sequential send
+  /// path and from the shard-log merge, never from inside a parallel section.
   void enqueue_async(NodeId from, NodeId to, const Message& msg);
   /// The transport tail of enqueue_async: link FIFO slot, drop decision,
-  /// delay assignment, wheel filing.  Also carries the overlay's own traffic
-  /// (retransmits, standalone acks), which shares the fate machinery of
-  /// first sends.
-  void file_async(NodeId from, NodeId to, std::size_t edge_id, const Message& msg);
+  /// delay assignment, wheel filing (frame.msg.from/to already set).  Also
+  /// carries the overlay's own traffic (retransmits, standalone acks), which
+  /// shares the fate machinery of first sends.
+  void file_async(std::size_t edge_id, const Frame& frame);
   /// Fires the overlay timers due this round and files the resulting
   /// retransmit / standalone-ack messages (with Metrics accounting).
   void service_transport();
   /// Moves every message due this round from the delay wheel / far map into
-  /// outbox_, applying crash-receiver drops and the receiver-side
-  /// first-touch bookkeeping that the synchronous path does at send time.
+  /// outbox_ (stripping the frame header), applying crash-receiver drops and
+  /// the receiver-side first-touch bookkeeping that the synchronous path
+  /// does at send time.
   void mature_async_messages();
   /// Earliest round > round_ holding a pending delivery (UINT64_MAX: none).
   std::uint64_t next_delivery_round() const;
@@ -376,10 +383,12 @@ class Network {
   std::uint64_t bits_per_word_ = 1;  // ⌈log₂ n⌉, hoisted out of the send path
   std::uint64_t arena_budget_bytes_ = 0;  // resolved cfg/DHC_ARENA_BUDGET (0 = unbounded)
 
-  // Message arenas (double-buffered): sends append to outbox_ (directly on
-  // sequential rounds, via the shard merge on sharded ones); delivery
-  // scatters it into inbox_arena_, one contiguous slice per receiving node.
-  std::vector<Message> outbox_;       // send order; size == messages in flight
+  // Message arenas (double-buffered): sends append to outbox_ on sequential
+  // rounds and to the shard logs on sharded ones; delivery scatters outbox_
+  // and then the shard logs, in shard order, into inbox_arena_, one
+  // contiguous slice per receiving node.
+  std::vector<Message> outbox_;       // send order
+  std::size_t parked_ = 0;            // synchronous sends parked in shard logs
   std::vector<Message> inbox_arena_;  // this round's inboxes, grouped by node
   std::vector<std::uint32_t> inbox_count_;   // per node: messages pending next round
   std::vector<std::uint32_t> inbox_off_;     // per node: slice start in inbox_arena_
@@ -406,12 +415,14 @@ class Network {
   // message delay wheel mirrors the wake-up wheel: one bucket per upcoming
   // round; deliveries ≥ kWheelSize rounds out live in the ordered far map.
   // Bucket append order is the global send order, so maturation preserves
-  // the arrival-order determinism the synchronous scatter guarantees.
+  // the arrival-order determinism the synchronous scatter guarantees.  They
+  // hold Frames: the overlay header exists only while a message is parked
+  // here or in the overlay's buffers.
   const FaultPlan* faults_ = nullptr;              // hoisted out of cfg_
   std::vector<std::uint64_t> link_free_at_;        // per directed edge: next free departure round
-  std::vector<std::vector<Message>> delay_wheel_;  // kWheelSize buckets
+  std::vector<std::vector<Frame>> delay_wheel_;    // kWheelSize buckets
   std::size_t delay_armed_ = 0;                    // messages across buckets
-  std::map<std::uint64_t, std::vector<Message>> far_messages_;  // round → msgs
+  std::map<std::uint64_t, std::vector<Frame>> far_messages_;  // round → frames
   std::size_t far_msg_armed_ = 0;                  // messages across the far map
 
   // Reliable-delivery overlay (congest/reliable.h).  Engaged only when the
@@ -419,8 +430,8 @@ class Network {
   // crashes active): lossless runs bypass it entirely, which is what pins
   // reliability=ack bitwise-identical to reliability=none at drop=0.
   std::unique_ptr<ReliableOverlay> reliable_;
-  std::vector<Message> transport_batch_;  // service_transport scratch
-  std::vector<Message> drain_batch_;      // in-order release scratch
+  std::vector<Frame> transport_batch_;  // service_transport scratch
+  std::vector<Frame> drain_batch_;      // in-order release scratch
 
   std::vector<ShardState> shard_state_;          // size shards_ when sharding
   std::unique_ptr<support::WorkerPool> pool_;    // created on first sharded round
@@ -437,7 +448,7 @@ class Network {
 
 // ---------------------------------------------------------------------------
 // Inline hot path.  One Context::send is one neighbor-rank lookup, one edge
-// budget check, metric bumps, and a single 56-byte append — no intermediate
+// budget check, metric bumps, and a single 28-byte append — no intermediate
 // Message copies (the old out-of-line path copied the struct three times)
 // and no per-message allocation once the outbox has warmed up.  On sharded
 // rounds the append, the global counters, and the receiver-side bookkeeping

@@ -120,16 +120,16 @@ void ReliableOverlay::file_timer(std::uint64_t now, std::uint64_t fire, std::uin
   }
 }
 
-void ReliableOverlay::stamp_and_buffer(std::size_t edge, Message& msg, std::uint64_t now) {
+void ReliableOverlay::stamp_and_buffer(std::size_t edge, Frame& frame, std::uint64_t now) {
   const std::size_t rev = reverse_edge_[edge];
-  msg.rel_seq = next_seq_[edge]++;
-  msg.rel_ack = recv_next_[rev] - 1;
+  frame.seq = next_seq_[edge]++;
+  frame.ack = recv_next_[rev] - 1;
   if (ack_due_[rev] != 0) {
     // This send piggybacks the ack owed for the reverse direction.
     ack_due_[rev] = 0;
     --live_timers_;
   }
-  send_buf_[edge].push_back(msg);
+  send_buf_[edge].push_back(frame);
   if (retrans_due_[edge] == 0) {
     cur_rto_[edge] = rto_.initial;
     retrans_due_[edge] = now + rto_.initial;
@@ -144,7 +144,7 @@ void ReliableOverlay::process_ack(std::size_t edge, std::uint32_t ack, std::uint
   acked_to_[edge] = ack;
   auto& buf = send_buf_[edge];
   std::size_t k = 0;
-  while (k < buf.size() && buf[k].rel_seq <= ack) ++k;
+  while (k < buf.size() && buf[k].seq <= ack) ++k;
   if (k != 0) buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(k));
   if (retrans_due_[edge] == 0) return;
   if (buf.empty()) {
@@ -168,12 +168,12 @@ void ReliableOverlay::schedule_ack(std::size_t edge, std::uint64_t now) {
   ++live_timers_;
 }
 
-ReliableOverlay::Arrival ReliableOverlay::on_arrival(std::size_t edge, const Message& msg,
+ReliableOverlay::Arrival ReliableOverlay::on_arrival(std::size_t edge, const Frame& frame,
                                                      std::uint64_t now) {
-  process_ack(reverse_edge_[edge], msg.rel_ack, now);
-  if (msg.rel_seq == 0) return Arrival::kAck;
+  process_ack(reverse_edge_[edge], frame.ack, now);
+  if (frame.seq == 0) return Arrival::kAck;
   schedule_ack(edge, now);
-  const std::uint32_t seq = msg.rel_seq;
+  const std::uint32_t seq = frame.seq;
   if (seq < recv_next_[edge]) return Arrival::kDuplicate;
   if (seq == recv_next_[edge]) {
     recv_next_[edge] += 1;
@@ -183,18 +183,18 @@ ReliableOverlay::Arrival ReliableOverlay::on_arrival(std::size_t edge, const Mes
   // near-sorted and this scans at most a few tail slots).
   auto& buf = recv_buf_[edge];
   std::size_t pos = buf.size();
-  while (pos > 0 && buf[pos - 1].rel_seq >= seq) {
-    if (buf[pos - 1].rel_seq == seq) return Arrival::kDuplicate;
+  while (pos > 0 && buf[pos - 1].seq >= seq) {
+    if (buf[pos - 1].seq == seq) return Arrival::kDuplicate;
     --pos;
   }
-  buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(pos), msg);
+  buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(pos), frame);
   return Arrival::kBuffer;
 }
 
-void ReliableOverlay::drain_in_order(std::size_t edge, std::vector<Message>& out) {
+void ReliableOverlay::drain_in_order(std::size_t edge, std::vector<Frame>& out) {
   auto& buf = recv_buf_[edge];
   std::size_t k = 0;
-  while (k < buf.size() && buf[k].rel_seq == recv_next_[edge]) {
+  while (k < buf.size() && buf[k].seq == recv_next_[edge]) {
     out.push_back(buf[k]);
     recv_next_[edge] += 1;
     ++k;
@@ -204,7 +204,7 @@ void ReliableOverlay::drain_in_order(std::size_t edge, std::vector<Message>& out
 
 void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
                                  const std::function<bool(NodeId)>& crashed,
-                                 std::vector<Message>& out) {
+                                 std::vector<Frame>& out) {
   const std::size_t e = t.edge;
   if (t.kind == TimerKind::kRetransmit) {
     if (retrans_due_[e] != now) return;  // stale hint
@@ -230,10 +230,7 @@ void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
       ack_due_[rev] = 0;
       --live_timers_;
     }
-    for (const Message& m : buf) {
-      Message& copy = out.emplace_back(m);
-      copy.rel_ack = piggy;
-    }
+    for (const Frame& f : buf) out.emplace_back(f).ack = piggy;
     cur_rto_[e] = std::min(cur_rto_[e] * rto_.mult, rto_.max);
     retrans_due_[e] = now + cur_rto_[e];
     file_timer(now, retrans_due_[e], t.edge, TimerKind::kRetransmit);
@@ -246,11 +243,10 @@ void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
       file_timer(now, ack_due_[e], t.edge, TimerKind::kAck);
       return;
     }
-    Message& ack = out.emplace_back();
-    ack.from = edge_tail_[rev];
-    ack.to = edge_tail_[e];
-    ack.rel_seq = 0;  // standalone ack: no payload, header only
-    ack.rel_ack = recv_next_[e] - 1;
+    Frame& ack = out.emplace_back();  // standalone ack: seq 0, no payload
+    ack.msg.from = edge_tail_[rev];
+    ack.msg.to = edge_tail_[e];
+    ack.ack = recv_next_[e] - 1;
     ack_due_[e] = 0;
     --live_timers_;
   }
@@ -258,7 +254,7 @@ void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
 
 void ReliableOverlay::collect_due(std::uint64_t now,
                                   const std::function<bool(NodeId)>& crashed,
-                                  std::vector<Message>& out) {
+                                  std::vector<Frame>& out) {
   // Far entries first (they were armed earliest), then the wheel bucket in
   // append order — a fixed, deterministic service order.  Far keys the
   // event-driven advance jumped past hold only stale hints (a live timer's

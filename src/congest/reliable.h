@@ -93,27 +93,27 @@ class ReliableOverlay {
   };
 
   /// Sender path, called for every protocol send on directed edge `edge`
-  /// (msg.from/msg.to already set).  Stamps a fresh sequence number and the
+  /// (frame.msg.from/to already set).  Stamps a fresh sequence number and the
   /// piggybacked cumulative ack for the reverse direction, buffers a
   /// retransmit copy, and arms the link's timer if idle.
-  void stamp_and_buffer(std::size_t edge, Message& msg, std::uint64_t now);
+  void stamp_and_buffer(std::size_t edge, Frame& frame, std::uint64_t now);
 
   /// Receiver path, called for every matured arrival on `edge` (the sending
   /// direction's id).  Processes the piggybacked ack against the reverse
   /// link, schedules the ack owed for payload, and classifies the payload.
-  Arrival on_arrival(std::size_t edge, const Message& msg, std::uint64_t now);
+  Arrival on_arrival(std::size_t edge, const Frame& frame, std::uint64_t now);
 
   /// After a kDeliver: appends the buffered messages that became in-order,
   /// in sequence order, and advances the receive cursor past them.
-  void drain_in_order(std::size_t edge, std::vector<Message>& out);
+  void drain_in_order(std::size_t edge, std::vector<Frame>& out);
 
-  /// Fires every timer due at `now`, appending the messages the transport
-  /// owes the network — retransmit copies (rel_seq > 0, refreshed rel_ack)
-  /// and standalone acks (rel_seq == 0) — in deterministic timer order.
+  /// Fires every timer due at `now`, appending the frames the transport
+  /// owes the network — retransmit copies (seq > 0, refreshed ack) and
+  /// standalone acks (seq == 0) — in deterministic timer order.
   /// Timers owned by a currently crashed endpoint defer instead of firing
   /// (the work survives the crash window; see DESIGN.md §9).
   void collect_due(std::uint64_t now, const std::function<bool(NodeId)>& crashed,
-                   std::vector<Message>& out);
+                   std::vector<Frame>& out);
 
   /// True while any link still owes traffic (unacked payload or a pending
   /// standalone ack) — the overlay's contribution to the quiescence check.
@@ -145,7 +145,7 @@ class ReliableOverlay {
   void process_ack(std::size_t edge, std::uint32_t ack, std::uint64_t now);
   void schedule_ack(std::size_t edge, std::uint64_t now);
   void fire_entry(const TimerEntry& e, std::uint64_t now,
-                  const std::function<bool(NodeId)>& crashed, std::vector<Message>& out);
+                  const std::function<bool(NodeId)>& crashed, std::vector<Frame>& out);
 
   RtoSpec rto_;
 
@@ -159,7 +159,7 @@ class ReliableOverlay {
   // fire at rounds >= 1).
   std::vector<std::uint32_t> next_seq_;
   std::vector<std::uint32_t> acked_to_;
-  std::vector<std::vector<Message>> send_buf_;
+  std::vector<std::vector<Frame>> send_buf_;
   std::vector<std::uint64_t> retrans_due_;
   std::vector<std::uint64_t> cur_rto_;
 
@@ -167,7 +167,7 @@ class ReliableOverlay {
   // buffer (sorted by seq), and the round a standalone ack is owed at
   // (0 = none pending).
   std::vector<std::uint32_t> recv_next_;
-  std::vector<std::vector<Message>> recv_buf_;
+  std::vector<std::vector<Frame>> recv_buf_;
   std::vector<std::uint64_t> ack_due_;
 
   std::vector<std::vector<TimerEntry>> timer_wheel_;

@@ -60,7 +60,7 @@ class UpcastProtocol : public congest::Protocol {
             ctx.charge_memory(2);
           }
           if (setup_.parent(x) == kNoNode) {
-            root_edges_.emplace_back(std::min(u, w), std::max(u, w));
+            root_edges_[x].emplace_back(std::min(u, w), std::max(u, w));
             ctx.charge_memory(2);
           } else {
             up_queue_[x].emplace_back(u, w);
@@ -156,7 +156,7 @@ class UpcastProtocol : public congest::Protocol {
     if (setup_.parent(x) == kNoNode) {
       for (const auto i : chosen) {
         const NodeId w = nb[static_cast<std::size_t>(i)];
-        root_edges_.emplace_back(std::min(x, w), std::max(x, w));
+        root_edges_[x].emplace_back(std::min(x, w), std::max(x, w));
       }
       ctx.charge_memory(static_cast<std::int64_t>(2 * chosen.size()));
     } else {
@@ -182,7 +182,7 @@ class UpcastProtocol : public congest::Protocol {
 
   void root_solve(Context& ctx) {
     const NodeId x = ctx.self();
-    graph::Graph sampled(n_, root_edges_);
+    graph::Graph sampled(n_, root_edges());
     RotationResult solved = rotation_hamiltonian_cycle(sampled, ctx.rng(), cfg_.root_solver);
     ctx.charge_compute(solved.stats.steps);
     root_solve_steps_ = solved.stats.steps;
@@ -246,6 +246,16 @@ class UpcastProtocol : public congest::Protocol {
     return row[u];
   }
 
+  /// Every root's collected edges.  A disconnected input has one root per
+  /// component; each appends only to its own row, so sharded roots never
+  /// share a vector, and the sampled graph is canonicalized by Graph's
+  /// constructor whatever the concatenation order.
+  std::vector<graph::Edge> root_edges() const {
+    std::vector<graph::Edge> all;
+    for (const auto& row : root_edges_) all.insert(all.end(), row.begin(), row.end());
+    return all;
+  }
+
   NodeId n_;
   UpcastConfig cfg_;
   congest::SetupComponent setup_;
@@ -257,7 +267,8 @@ class UpcastProtocol : public congest::Protocol {
   std::vector<std::vector<NodeId>> route_;  // per node: origin -> child rows
   std::vector<std::uint64_t> child_used_stamp_;  // per child slot; written by its parent only
   std::vector<std::uint64_t> pump_stamp_;        // per pumping parent
-  std::vector<graph::Edge> root_edges_;
+  std::vector<std::vector<graph::Edge>> root_edges_ =
+      std::vector<std::vector<graph::Edge>>(n_);  // per root, written by that root only
   graph::CycleIncidence incidence_;
   support::ShardCounter<std::uint64_t> sampled_ = 0;  // bumped from sharded steps
   std::uint64_t root_solve_steps_ = 0;  // root-only writer
@@ -276,7 +287,7 @@ Result run_upcast(const graph::Graph& g, std::uint64_t seed, const UpcastConfig&
   result.metrics = net.run(protocol);
 
   result.stats["sampled_edges"] = static_cast<double>(protocol.sampled_);
-  result.stats["root_edges"] = static_cast<double>(protocol.root_edges_.size());
+  result.stats["root_edges"] = static_cast<double>(protocol.root_edges().size());
   result.stats["root_solve_steps"] = static_cast<double>(protocol.root_solve_steps_);
   result.stats["tree_depth"] = static_cast<double>(protocol.setup_.tree_depth(0));
 

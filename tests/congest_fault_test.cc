@@ -234,7 +234,7 @@ TEST(AsyncNetwork, DropsAreAccountedAndNeverDelivered) {
     }
   };
   p.on_step = [&](Context& ctx) {
-    received += ctx.inbox().size();
+    if (ctx.self() == 0) received += ctx.inbox().size();  // only the center has mail
     if (ctx.self() != 0 && ctx.round() < 4) {
       ctx.send(0, Message::make(1));
       ctx.wake_in(1);

@@ -51,7 +51,7 @@ class GossipProtocol : public Protocol {
       received_[v] += 1;
       checksum_[v] = checksum_[v] * 1099511628211ULL + msg.from * 31 +
                      static_cast<std::uint64_t>(msg.data[0]);
-      best_gen = std::max(best_gen, msg.data[0]);
+      best_gen = std::max<std::int64_t>(best_gen, msg.data[0]);
     }
     if (best_gen >= 0 && best_gen < max_generation_) {
       send_wave(ctx, best_gen + 1);

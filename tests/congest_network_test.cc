@@ -316,6 +316,19 @@ TEST(Network, MessageBitsScaleWithN) {
   EXPECT_EQ(message_bits(m, 1025), 3u * 11u + 8u);
 }
 
+TEST(Message, MakeRejectsAFifthWord) {
+  EXPECT_THROW(Message::make(1, {1, 2, 3, 4, 5}), support::InvariantViolation);
+  EXPECT_EQ(Message::make(1, {1, 2, 3, 4}).words, kMaxWords);
+}
+
+TEST(Message, MakeRejectsWordsOutsideThirtyTwoBits) {
+  EXPECT_THROW(Message::make(1, {-1}), support::InvariantViolation);
+  EXPECT_THROW(Message::make(1, {7, 1ll << 32}), support::InvariantViolation);
+  const Message top = Message::make(1, {(1ll << 32) - 1, 0});
+  EXPECT_EQ(top.data[0], 0xffffffffu);
+  EXPECT_EQ(top.words, 2u);
+}
+
 TEST(Network, MaxWordsEnforced) {
   Message m;
   m.tag = 1;

@@ -89,22 +89,19 @@ TEST(ReliabilitySpec, ParsesAndRejects) {
 
 /// Every node sends the numbered messages 1..K to every neighbor, one per
 /// round, then goes quiet.  Receivers journal each arrival per directed
-/// link.  The reference channel is trivial: a reliable in-order link must
-/// deliver exactly the sequence 1..K on every directed edge.
+/// link, in per-receiver state so sharded rounds never share a container.
+/// The reference channel is trivial: a reliable in-order link must deliver
+/// exactly the sequence 1..K on every directed edge.
 class FloodProtocol : public Protocol {
  public:
-  explicit FloodProtocol(std::uint64_t k) : k_(k) {}
+  FloodProtocol(NodeId n, std::uint64_t k) : k_(k), sent_(n, 0), received_by_(n) {}
 
-  void begin(Context& ctx) override {
-    if (sent_.size() <= ctx.self()) sent_.resize(ctx.self() + 1, 0);
-    ctx.wake_in(1);
-  }
+  void begin(Context& ctx) override { ctx.wake_in(1); }
 
   void step(Context& ctx) override {
     for (const Message& m : ctx.inbox()) {
-      received_[{m.from, m.to}].push_back(m.data[0]);
+      received_by_[ctx.self()][m.from].push_back(m.data[0]);
     }
-    if (sent_.size() <= ctx.self()) sent_.resize(ctx.self() + 1, 0);
     if (sent_[ctx.self()] < k_) {
       const std::int64_t seq = static_cast<std::int64_t>(++sent_[ctx.self()]);
       for (const NodeId v : ctx.neighbors()) ctx.send(v, Message::make(1, {seq}));
@@ -112,14 +109,18 @@ class FloodProtocol : public Protocol {
     }
   }
 
-  const std::map<std::pair<NodeId, NodeId>, std::vector<std::int64_t>>& received() const {
-    return received_;
+  std::map<std::pair<NodeId, NodeId>, std::vector<std::int64_t>> received() const {
+    std::map<std::pair<NodeId, NodeId>, std::vector<std::int64_t>> out;
+    for (NodeId to = 0; to < received_by_.size(); ++to) {
+      for (const auto& [from, seqs] : received_by_[to]) out[{from, to}] = seqs;
+    }
+    return out;
   }
 
  private:
   std::uint64_t k_;
   std::vector<std::uint64_t> sent_;
-  std::map<std::pair<NodeId, NodeId>, std::vector<std::int64_t>> received_;
+  std::vector<std::map<NodeId, std::vector<std::int64_t>>> received_by_;
 };
 
 struct FloodRun {
@@ -134,7 +135,7 @@ FloodRun run_flood(const Graph& g, std::uint64_t k, const DelaySpec& delay, doub
   NetworkConfig cfg;
   cfg.faults = &plan;
   Network net(g, cfg);
-  FloodProtocol p(k);
+  FloodProtocol p(g.n(), k);
   FloodRun out;
   out.metrics = net.run(p);
   out.received = p.received();
@@ -242,13 +243,13 @@ TEST(ReliableOverlay, LosslessPlanNeverEngagesTheOverlay) {
   NetworkConfig cfg;
   cfg.faults = &ack_plan;
   Network ack_net(g, cfg);
-  FloodProtocol ack_p(k);
+  FloodProtocol ack_p(g.n(), k);
   const Metrics with_ack = ack_net.run(ack_p);
 
   const FaultPlan none_plan({}, 0.0, {}, 5);
   cfg.faults = &none_plan;
   Network none_net(g, cfg);
-  FloodProtocol none_p(k);
+  FloodProtocol none_p(g.n(), k);
   const Metrics without = none_net.run(none_p);
 
   EXPECT_EQ(with_ack.retransmits, 0u);

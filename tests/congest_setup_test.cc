@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -199,7 +200,7 @@ TEST(Setup, ForwardOnTreeReachesEveryone) {
 
   class FloodProtocol : public SetupProtocol {
    public:
-    explicit FloodProtocol(NodeId n) : SetupProtocol(n), got(n, 0) {}
+    explicit FloodProtocol(NodeId n) : SetupProtocol(n), got(n, 0), arrival(n, 0) {}
     void step(Context& ctx) override {
       if (!flood_started) {
         SetupProtocol::step(ctx);
@@ -213,7 +214,7 @@ TEST(Setup, ForwardOnTreeReachesEveryone) {
       for (const auto& m : ctx.inbox()) {
         if (m.tag == 900) {
           got[ctx.self()] += 1;
-          last_arrival = ctx.round();
+          arrival[ctx.self()] = ctx.round();  // per node: shard-safe
           setup.forward_on_tree(ctx, m, m.from);
         }
       }
@@ -231,15 +232,16 @@ TEST(Setup, ForwardOnTreeReachesEveryone) {
     NodeId origin = 137;
     bool flood_started = false;
     std::vector<int> got;
+    std::vector<std::uint64_t> arrival;
     std::uint64_t flood_start_round = 0;
-    std::uint64_t last_arrival = 0;
   };
 
   Network net(g, {});
   FloodProtocol p(g.n());
   net.run(p);
   for (NodeId v = 0; v < g.n(); ++v) EXPECT_EQ(p.got[v], 1) << "node " << v;
-  EXPECT_LE(p.last_arrival - p.flood_start_round, 2u * p.setup.tree_depth(0));
+  const std::uint64_t last_arrival = *std::max_element(p.arrival.begin(), p.arrival.end());
+  EXPECT_LE(last_arrival - p.flood_start_round, 2u * p.setup.tree_depth(0));
 }
 
 TEST(Setup, DeterministicAcrossRuns) {

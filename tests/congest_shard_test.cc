@@ -218,5 +218,103 @@ TEST(ShardEngine, CapacityViolationDiagnosticIdenticalWhenSharded) {
   EXPECT_EQ(run_and_catch(4), seq);
 }
 
+// Sends of a sharded synchronous round stay parked in the shard logs until
+// the next delivery scatters them.  Every check that asks "is mail in
+// flight?" must count them: the quiescence test, the round advance (node 0
+// keeps a wake-up armed `gap` rounds out, so parked mail misread as none
+// would jump straight to it), the round limit's live/stalled verdict, and
+// arena_bytes_peak.  Two flood phases of `waves` rounds each: every round
+// is wide enough to shard at grain 1, and each phase ends on a sharded
+// round whose sends are parked when the wake-up-free network is tested for
+// quiescence.
+class ParkedWaves : public Protocol {
+ public:
+  ParkedWaves(std::uint64_t waves, std::uint64_t gap) : waves_(waves), gap_(gap) {}
+
+  void begin(Context& ctx) override {
+    if (ctx.self() == 0) ctx.wake_in(gap_);
+    flood(ctx);
+  }
+
+  void step(Context& ctx) override {
+    if (ctx.round() < until_) flood(ctx);
+  }
+
+  bool on_quiescence(Network& net) override {
+    if (second_phase_) return false;
+    second_phase_ = true;
+    until_ = net.round() + 1 + waves_;
+    net.wake_all();
+    return true;
+  }
+
+ private:
+  static void flood(Context& ctx) {
+    for (std::size_t i = 0; i < ctx.degree(); ++i) {
+      ctx.send_to_rank(i, Message::make(5, {ctx.self(), static_cast<std::int64_t>(ctx.round())}));
+    }
+  }
+
+  std::uint64_t waves_;
+  std::uint64_t gap_;
+  std::uint64_t until_ = waves_;
+  bool second_phase_ = false;
+};
+
+Metrics run_parked(const Graph& g, std::uint32_t shards, std::uint64_t max_rounds,
+                   std::uint64_t arena_budget_bytes) {
+  NetworkConfig cfg;
+  cfg.seed = 3;
+  cfg.shards = shards;
+  cfg.shard_grain = 1;
+  cfg.max_rounds = max_rounds;
+  cfg.arena_budget_bytes = arena_budget_bytes;
+  Network net(g, cfg);
+  ParkedWaves protocol(/*waves=*/4, /*gap=*/40);
+  return net.run(protocol);
+}
+
+void expect_parked_runs_match(const Graph& g, std::uint64_t max_rounds,
+                              std::uint64_t arena_budget_bytes, const Metrics& base) {
+  for (const std::uint32_t shards : {2u, 4u}) {
+    const Metrics m = run_parked(g, shards, max_rounds, arena_budget_bytes);
+    EXPECT_EQ(m.rounds, base.rounds) << "shards=" << shards;
+    EXPECT_EQ(m.barrier_count, base.barrier_count) << "shards=" << shards;
+    EXPECT_EQ(m.hit_round_limit, base.hit_round_limit) << "shards=" << shards;
+    EXPECT_EQ(m.round_limit_live, base.round_limit_live) << "shards=" << shards;
+    EXPECT_EQ(m.arena_bytes_peak, base.arena_bytes_peak) << "shards=" << shards;
+    EXPECT_TRUE(m == base) << "Metrics differ field-for-field at shards=" << shards;
+  }
+}
+
+TEST(ShardEngine, MailParkedInShardLogsHoldsOffQuiescence) {
+  support::Rng grng(21);
+  const Graph g = graph::gnp(60, 0.2, grng);
+  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{4096}}) {
+    const Metrics base = run_parked(g, 1, /*max_rounds=*/1000, budget);
+    ASSERT_FALSE(base.hit_round_limit);
+    ASSERT_EQ(base.barrier_count, 1u);
+    // Phase 0 floods in rounds 0..3 and drains in round 4, then idles to
+    // node 0's wake-up at round 40; phase 1 floods in rounds 41..44 and
+    // drains in round 45.  A flood round holds one delivered and one queued
+    // message per directed edge.
+    ASSERT_EQ(base.rounds, 45u);
+    ASSERT_EQ(base.arena_bytes_peak, 2 * g.m() * 2 * sizeof(Message));
+    expect_parked_runs_match(g, 1000, budget, base);
+  }
+}
+
+TEST(ShardEngine, MailParkedInShardLogsAtTheRoundLimitIsLive) {
+  support::Rng grng(21);
+  const Graph g = graph::gnp(60, 0.2, grng);
+  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{4096}}) {
+    const Metrics base = run_parked(g, 1, /*max_rounds=*/3, budget);
+    ASSERT_TRUE(base.hit_round_limit);
+    ASSERT_TRUE(base.round_limit_live);
+    ASSERT_GT(base.arena_bytes_peak, 0u);
+    expect_parked_runs_match(g, 3, budget, base);
+  }
+}
+
 }  // namespace
 }  // namespace dhc::congest

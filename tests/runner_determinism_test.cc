@@ -195,7 +195,9 @@ TEST(ResolveParallelism, AutoPrefersTrialParallelismForManySmallTrials) {
   const unsigned hw = support::WorkerPool::hardware_lanes();
   const auto par = resolve_parallelism(/*trial_count=*/hw * 4, opt);
   EXPECT_EQ(par.shards, congest::default_shards());  // 1 without DHC_SHARDS
-  EXPECT_EQ(par.threads, hw);
+  // The whole budget goes to trials, less the lanes a DHC_SHARDS default
+  // claims for each trial (hw when unset).
+  EXPECT_EQ(par.threads, std::max(1u, hw / std::min(congest::default_shards(), hw)));
 }
 
 TEST(ResolveParallelism, AutoShardsWhenTrialsCannotFillTheBudget) {
