@@ -16,9 +16,10 @@
 // of the edge/node/round — never a draw from mutable RNG state (see the
 // determinism argument in fault_plan.h and DESIGN.md §8).
 //
-// Mirrors the k-machine backend (kmachine/kmachine.h): run_async() drives a
-// kmachine::CongestAlgorithm adapter and returns the verified core::Result
-// plus a fault report.
+// run_async() drives a kmachine::CongestAlgorithm adapter (kmachine/
+// kmachine.h) with a FaultPlan attached and returns the verified
+// core::Result plus a fault report.  The runner attaches the same FaultPlan
+// itself (runner/trial_runner.cc, run_congest).
 #pragma once
 
 #include <cstdint>

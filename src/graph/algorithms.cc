@@ -46,26 +46,6 @@ std::uint32_t exact_diameter(const Graph& g) {
   return diameter;
 }
 
-std::uint32_t estimated_diameter(const Graph& g, support::Rng& rng, std::uint32_t samples) {
-  if (g.n() < 2) return 0;
-  std::uint32_t best = 0;
-  for (std::uint32_t s = 0; s < samples; ++s) {
-    const auto start = static_cast<NodeId>(rng.below(g.n()));
-    // Double sweep: BFS from a random node, then BFS from the farthest node.
-    const auto d1 = bfs_distances(g, start);
-    NodeId far = start;
-    std::uint32_t far_dist = 0;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (d1[v] != kUnreachable && d1[v] >= far_dist) {
-        far_dist = d1[v];
-        far = v;
-      }
-    }
-    best = std::max(best, eccentricity(g, far));
-  }
-  return best;
-}
-
 bool is_connected(const Graph& g) {
   if (g.n() <= 1) return true;
   const auto dist = bfs_distances(g, 0);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "support/rng.h"
 
 namespace dhc::graph {
 
@@ -27,10 +26,6 @@ std::uint32_t eccentricity(const Graph& g, NodeId source);
 /// Exact diameter via all-sources BFS — O(n·m), intended for n ≲ 10⁴.
 /// Returns 0 for graphs with fewer than 2 nodes; requires connectivity.
 std::uint32_t exact_diameter(const Graph& g);
-
-/// Diameter lower bound from `samples` random double-sweeps; cheap for
-/// large graphs, exact on trees, a good estimate on random graphs.
-std::uint32_t estimated_diameter(const Graph& g, support::Rng& rng, std::uint32_t samples = 8);
 
 /// True iff the graph is connected (vacuously true for n <= 1).
 bool is_connected(const Graph& g);

@@ -1,7 +1,6 @@
 #include "kmachine/kmachine.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "support/require.h"
 
@@ -112,43 +111,6 @@ CongestAlgorithm turau_algorithm(core::TurauConfig base) {
 
 CongestAlgorithm upcast_algorithm(core::UpcastConfig base) {
   return make_adapter(std::move(base), core::run_upcast);
-}
-
-CongestAlgorithm algorithm_by_name(const std::string& name) {
-  if (name == "dra") return dra_algorithm();
-  if (name == "dhc1") return dhc1_algorithm();
-  if (name == "dhc2") return dhc2_algorithm();
-  if (name == "turau") return turau_algorithm();
-  if (name == "upcast") return upcast_algorithm();
-  if (name == "collect-all" || name == "collectall") {
-    core::UpcastConfig cfg;
-    cfg.collect_all = true;
-    return upcast_algorithm(cfg);
-  }
-  throw std::invalid_argument("k-machine backend knows no algorithm '" + name +
-                              "' (expected dra|dhc1|dhc2|turau|upcast|collect-all)");
-}
-
-KMachineOutcome run_kmachine(const CongestAlgorithm& algo, const graph::Graph& g,
-                             std::uint64_t seed, const KMachineConfig& cfg) {
-  DHC_REQUIRE(algo != nullptr, "run_kmachine needs an algorithm");
-  const std::uint64_t partition_seed = cfg.partition_seed != 0 ? cfg.partition_seed : seed;
-  KMachineCost cost(g.n(), cfg.k, cfg.bandwidth, partition_seed);
-  cost.set_trace(cfg.trace);
-
-  KMachineOutcome out;
-  out.result = algo(g, seed, &cost, cfg.shards, nullptr);
-  cost.finish();
-
-  out.report.k = cfg.k;
-  out.report.bandwidth = cfg.bandwidth;
-  out.report.success = out.result.success;
-  out.report.congest_rounds = out.result.metrics.rounds;
-  out.report.kmachine_rounds = cost.kmachine_rounds();
-  out.report.cross_messages = cost.cross_messages();
-  out.report.local_messages = cost.local_messages();
-  out.report.busiest_link_peak = cost.busiest_link_peak();
-  return out;
 }
 
 }  // namespace dhc::kmachine

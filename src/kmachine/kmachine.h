@@ -9,28 +9,22 @@
 // machine link; a CONGEST round whose busiest link carries L messages costs
 // ⌈L / bandwidth⌉ k-machine rounds.
 //
-// Two layers implement that conversion:
-//
-//   * KMachineCost — the pricing observer.  Hang it off any protocol run
-//     (congest::NetworkConfig::observer) and read the converted round count
-//     at any time, including mid-run: pricing is a pure read of the current
-//     state, never a mutation (see kmachine_rounds()).
-//   * run_kmachine() — the backend.  It takes *any* registered CONGEST
-//     algorithm as a CongestAlgorithm adapter (dra, dhc1, dhc2, turau,
-//     upcast — or your own lambda), attaches the pricing observer, runs the
-//     algorithm, and returns both the underlying core::Result (cycle
-//     included, so callers can verify) and the full KMachineReport.
+// KMachineCost is that conversion: a pricing observer.  Hang it off any
+// protocol run (congest::EngineOptions::observer) and read the converted
+// round count at any time, including mid-run: pricing is a pure read of the
+// current state, never a mutation (see kmachine_rounds()).  The runner
+// attaches one to every trial under `model = kmachine`; the CongestAlgorithm
+// adapters below run any registered algorithm with an observer attached.
 //
 // The paper's claim — "our fully-distributed algorithms can be used to
 // obtain efficient algorithms in the k-machine model" — is runnable for
 // every algorithm: more machines means more parallel links, so converted
-// rounds fall as k grows.
+// rounds fall as k grows (EXP-K1).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "congest/network.h"
@@ -116,19 +110,6 @@ class KMachineCost : public congest::MessageObserver {
   congest::TraceSink* trace_ = nullptr;
 };
 
-/// What one k-machine execution cost.
-struct KMachineReport {
-  std::uint32_t k = 0;
-  std::uint64_t bandwidth = 0;
-  bool success = false;
-  std::uint64_t congest_rounds = 0;
-  std::uint64_t kmachine_rounds = 0;
-  std::uint64_t cross_messages = 0;
-  std::uint64_t local_messages = 0;
-  /// Peak single-round load of the busiest machine link (messages).
-  std::uint64_t busiest_link_peak = 0;
-};
-
 /// An algorithm the backend can drive: run a CONGEST protocol over `g` from
 /// `seed` with `observer` attached, `shards` simulator shards (0 = the
 /// DHC_SHARDS environment default; bitwise-neutral), and an optional fault
@@ -148,43 +129,5 @@ CongestAlgorithm dhc1_algorithm(core::Dhc1Config base = {});
 CongestAlgorithm dhc2_algorithm(core::Dhc2Config base = {});
 CongestAlgorithm turau_algorithm(core::TurauConfig base = {});
 CongestAlgorithm upcast_algorithm(core::UpcastConfig base = {});
-
-/// Adapter by runner-facing name: dra | dhc1 | dhc2 | turau | upcast |
-/// collect-all (default configs).  Throws std::invalid_argument otherwise.
-CongestAlgorithm algorithm_by_name(const std::string& name);
-
-struct KMachineConfig {
-  /// Number of machines (≥ 2).
-  std::uint32_t k = 8;
-  /// Per-link bandwidth, messages per k-machine round (≥ 1).
-  std::uint64_t bandwidth = 32;
-  /// Seed of the random vertex partition; 0 means "use the algorithm seed"
-  /// (the runner's convention).
-  std::uint64_t partition_seed = 0;
-  /// Simulator shards for the underlying CONGEST run (0 = the DHC_SHARDS
-  /// environment default).  Bitwise-neutral: the merged event log reproduces
-  /// the sequential send order, so the price is shard-invariant (pinned by
-  /// kmachine_test).
-  std::uint32_t shards = 0;
-  /// Optional flight-recorder sink for per-round pricing events (kround
-  /// lines).  Network-level tracing rides the algorithm's base config; this
-  /// one feeds the pricing observer.  Not owned, must outlive the run.
-  congest::TraceSink* trace = nullptr;
-};
-
-/// The backend's full answer: the conversion pricing plus the underlying
-/// CONGEST run (cycle included, so callers can verify the output and reuse
-/// every solver stat).
-struct KMachineOutcome {
-  KMachineReport report;
-  core::Result result;
-};
-
-/// Runs `algo` on `g` with the k-machine pricing observer attached and
-/// returns the priced outcome.  The direct-simulation conversion of §IV:
-/// one KMachineCost partition per call, every message either free (local)
-/// or charged to its machine link.
-KMachineOutcome run_kmachine(const CongestAlgorithm& algo, const graph::Graph& g,
-                             std::uint64_t seed, const KMachineConfig& cfg);
 
 }  // namespace dhc::kmachine

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/hamiltonian.h"
@@ -21,7 +22,19 @@ namespace {
 
 using graph::Graph;
 
-const char* const kSolvers[] = {"dra", "dhc1", "dhc2", "turau", "upcast"};
+struct Solver {
+  const char* name;
+  kmachine::CongestAlgorithm algo;
+};
+
+/// The five registered CONGEST solvers, by their runner names.
+std::vector<Solver> solvers() {
+  return {{"dra", kmachine::dra_algorithm()},
+          {"dhc1", kmachine::dhc1_algorithm()},
+          {"dhc2", kmachine::dhc2_algorithm()},
+          {"turau", kmachine::turau_algorithm()},
+          {"upcast", kmachine::upcast_algorithm()}};
+}
 
 Graph test_instance(graph::NodeId n, std::uint64_t seed) {
   support::Rng rng(seed);
@@ -62,8 +75,7 @@ TEST(AsyncBackend, LatencyOneMatchesTheSynchronousRunBitwise) {
   // delay = fixed:1, no drops, no crashes *is* the synchronous schedule; the
   // async machinery must reproduce the plain run exactly, for every solver.
   const Graph g = test_instance(256, 41);
-  for (const char* name : kSolvers) {
-    const auto algo = kmachine::algorithm_by_name(name);
+  for (const auto& [name, algo] : solvers()) {
     auto plain = algo(g, /*seed=*/7, nullptr, /*shards=*/0, /*faults=*/nullptr);
 
     AsyncConfig cfg;
@@ -90,8 +102,7 @@ TEST(AsyncBackend, GoldenSeedDeterminismPerSolverUnderDelaysAndDrops) {
   cfg.delay = congest::DelaySpec::parse("uniform:1:4");
   cfg.drop_prob = 0.01;
   cfg.max_rounds = 200000;
-  for (const char* name : kSolvers) {
-    const auto algo = kmachine::algorithm_by_name(name);
+  for (const auto& [name, algo] : solvers()) {
     const AsyncOutcome first = run_async(algo, g, /*seed=*/11, cfg);
     const AsyncOutcome again = run_async(algo, g, /*seed=*/11, cfg);
     expect_outcomes_equal(first, again, name);
@@ -110,8 +121,9 @@ TEST(AsyncBackend, ShardCountIsBitwiseNeutralUnderFaults) {
   cfg.delay = congest::DelaySpec::parse("uniform:1:3");
   cfg.drop_prob = 0.02;
   cfg.max_rounds = 200000;
-  for (const char* name : {"dhc2", "turau", "upcast"}) {
-    const auto algo = kmachine::algorithm_by_name(name);
+  for (const auto& [name, algo] : std::vector<Solver>{{"dhc2", kmachine::dhc2_algorithm()},
+                                                       {"turau", kmachine::turau_algorithm()},
+                                                       {"upcast", kmachine::upcast_algorithm()}}) {
     cfg.shards = 1;
     const AsyncOutcome base = run_async(algo, g, /*seed=*/29, cfg);
     for (const std::uint32_t shards : {2u, 4u}) {
@@ -132,7 +144,7 @@ TEST(AsyncBackend, MassCrashFailsGracefullyInsteadOfHanging) {
   AsyncConfig cfg;
   cfg.crash = congest::CrashSpec::parse("random:0.6:2:100000000");
   cfg.max_rounds = 2000;
-  const AsyncOutcome out = run_async(kmachine::algorithm_by_name("dhc2"), g, /*seed=*/5, cfg);
+  const AsyncOutcome out = run_async(kmachine::dhc2_algorithm(), g, /*seed=*/5, cfg);
   EXPECT_FALSE(out.report.success);
   EXPECT_GT(out.report.crashed_nodes, 0u);
   EXPECT_TRUE(out.report.hit_round_limit || !out.result.failure_reason.empty());
@@ -147,8 +159,7 @@ TEST(AsyncReliable, AckWithNoLossIsBitwiseIdenticalToNone) {
   AsyncConfig cfg;
   cfg.delay = congest::DelaySpec::parse("fixed:2");
   cfg.max_rounds = 200000;
-  for (const char* name : kSolvers) {
-    const auto algo = kmachine::algorithm_by_name(name);
+  for (const auto& [name, algo] : solvers()) {
     const AsyncOutcome none = run_async(algo, g, /*seed=*/13, cfg);
 
     AsyncConfig ack_cfg = cfg;
@@ -171,7 +182,7 @@ TEST(AsyncReliable, AckOverlayDeliversWhereNoneStalls) {
   cfg.delay = congest::DelaySpec::parse("fixed:1");
   cfg.drop_prob = 0.02;
   cfg.max_rounds = 200000;
-  const auto algo = kmachine::algorithm_by_name("dhc2");
+  const auto algo = kmachine::dhc2_algorithm();
 
   const AsyncOutcome bare = run_async(algo, g, /*seed=*/3, cfg);
   EXPECT_FALSE(bare.report.success);
@@ -200,7 +211,7 @@ TEST(AsyncReliable, AckShardInvarianceUnderDrops) {
   cfg.drop_prob = 0.02;
   cfg.max_rounds = 200000;
   cfg.reliability = congest::ReliabilitySpec::parse("ack");
-  const auto algo = kmachine::algorithm_by_name("dhc2");
+  const auto algo = kmachine::dhc2_algorithm();
   cfg.shards = 1;
   const AsyncOutcome base = run_async(algo, g, /*seed=*/3, cfg);
   EXPECT_GT(base.report.retransmits, 0u);

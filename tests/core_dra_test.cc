@@ -5,9 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <map>
+#include <vector>
+
 #include "core/sequential.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "runner/scenario.h"
+#include "runner/trial_runner.h"
+#include "support/stats.h"
 
 namespace dhc::core {
 namespace {
@@ -90,6 +97,35 @@ TEST(Dra, FloodAndTreeBroadcastsAgreeOnOutcome) {
   // Flooding pushes a copy of every rotation across every edge; the tree
   // broadcast is strictly cheaper in messages.
   EXPECT_LT(rt.metrics.messages, rf.metrics.messages);
+
+  // EXP-A1 on the runner's instances (the `dhc_run --algos=dra` trials of
+  // this scenario): at the largest n, flooding's median message count is
+  // more than 1.5x the tree broadcast's.
+  runner::Scenario s;
+  s.algos = {runner::Algorithm::kDra};
+  s.sizes = {128, 256};
+  s.deltas = {1.0};
+  s.cs = {6.0};
+  s.seeds = 2;
+  s.base_seed = 350;
+  std::map<graph::NodeId, std::vector<double>> messages[2];  // [tree, flood], by n
+  for (const auto& t : runner::expand(s)) {
+    const Graph instance = runner::make_trial_instance(t);
+    for (const auto* cfg : {&tree_cfg, &flood_cfg}) {
+      const auto r = run_dra(instance, t.algo_seed, *cfg);
+      if (r.success) {
+        messages[cfg == &flood_cfg][t.n].push_back(static_cast<double>(r.metrics.messages));
+      }
+    }
+  }
+  double gap = 0.0;  // flood/tree median messages at the largest n both solved
+  for (const auto& [n, tree] : messages[0]) {
+    if (messages[1].contains(n)) {
+      gap = support::quantile(messages[1][n], 0.5) / support::quantile(tree, 0.5);
+    }
+  }
+  std::cout << "claim: EXP-A1 flood/tree message ratio " << gap << " (> 1.5)\n";
+  EXPECT_GT(gap, 1.5);
 }
 
 TEST(Dra, StepBudgetInjectionAbortsInsteadOfHanging) {

@@ -63,23 +63,6 @@ TEST(ExactDiameter, DisconnectedThrows) {
   EXPECT_THROW(exact_diameter(g), std::invalid_argument);
 }
 
-TEST(EstimatedDiameter, MatchesExactOnStructuredGraphs) {
-  support::Rng rng(3);
-  for (const Graph& g : {path_graph(30), cycle_graph(24), star_graph(12)}) {
-    EXPECT_EQ(estimated_diameter(g, rng, 4), exact_diameter(g));
-  }
-}
-
-TEST(EstimatedDiameter, NeverExceedsExact) {
-  support::Rng rng(4);
-  support::Rng grng(5);
-  for (int trial = 0; trial < 5; ++trial) {
-    const Graph g = gnp(200, 0.05, grng);
-    if (!is_connected(g)) continue;
-    EXPECT_LE(estimated_diameter(g, rng, 4), exact_diameter(g));
-  }
-}
-
 TEST(RandomGraphDiameter, LogarithmicForDenseRandomGraphs) {
   // [5] (Chung–Lu): diameter of G(n, c ln n / n) is Θ(ln n / ln ln n);
   // for n = 1024, ln n / ln ln n ≈ 3.6 — the diameter must be tiny.

@@ -1,5 +1,5 @@
 // Tests for the k-machine model backend (paper §IV): the pricing observer,
-// its mid-run idempotency, and the algorithm-agnostic execution driver.
+// its mid-run idempotency, and whole solver runs priced through it.
 #include "kmachine/kmachine.h"
 
 #include <gtest/gtest.h>
@@ -245,19 +245,32 @@ TEST(KMachineCost, BatchEventsMatchSingleSends) {
 }
 
 // ---------------------------------------------------------------------------
-// The execution backend: run_kmachine() over the registered algorithms.
+// Whole solver runs priced through the registered algorithms' adapters, the
+// way the runner attaches a KMachineCost under model = kmachine.
 // ---------------------------------------------------------------------------
 
-TEST(RunKMachine, AlgorithmByNameKnowsTheRegistry) {
-  for (const char* name : {"dra", "dhc1", "dhc2", "turau", "upcast", "collect-all"}) {
-    EXPECT_NE(algorithm_by_name(name), nullptr) << name;
-  }
-  EXPECT_THROW(algorithm_by_name("sequential"), std::invalid_argument);
-  EXPECT_THROW(algorithm_by_name("nope"), std::invalid_argument);
+struct NamedAlgorithm {
+  const char* name;
+  CongestAlgorithm algo;
+};
+
+struct Priced {
+  core::Result result;
+  KMachineCost cost;
+};
+
+/// Runs `algo` on `g` with a fresh KMachineCost attached; the partition
+/// seed is the algorithm seed (the runner's convention).
+Priced priced_run(const CongestAlgorithm& algo, const graph::Graph& g, std::uint64_t seed,
+                  std::uint32_t k, std::uint64_t bandwidth, std::uint32_t shards = 0) {
+  KMachineCost cost(g.n(), k, bandwidth, /*partition seed=*/seed);
+  core::Result result = algo(g, seed, &cost, shards, /*faults=*/nullptr);
+  cost.finish();
+  return {std::move(result), std::move(cost)};
 }
 
-// The acceptance pin: for every registered algorithm the backend's full
-// report — converted rounds above all — is bitwise identical between a live
+// The acceptance pin: for every registered algorithm the full price —
+// converted rounds above all — is bitwise identical between a live
 // sequential run (shards = 1) and a sharded run (shards = 4, the CI
 // DHC_SHARDS matrix value), with the shard grain forced down so even sparse
 // rounds exercise the merged event log.  Also end-to-end sanity: a
@@ -269,10 +282,7 @@ TEST(RunKMachine, ReportShardInvariantForEveryAlgorithm) {
   const char* old_grain = std::getenv("DHC_SHARD_GRAIN");
   setenv("DHC_SHARD_GRAIN", "1", 1);
 
-  const struct {
-    const char* name;
-    CongestAlgorithm algo;
-  } algorithms[] = {
+  const NamedAlgorithm algorithms[] = {
       {"dra", dra_algorithm()},
       {"dhc1", dhc1_algorithm()},
       {"dhc2", dhc2_algorithm()},
@@ -280,25 +290,18 @@ TEST(RunKMachine, ReportShardInvariantForEveryAlgorithm) {
   };
 
   for (const auto& [name, algo] : algorithms) {
-    const auto run_with = [&](std::uint32_t shards) {
-      KMachineConfig cfg;
-      cfg.k = 8;
-      cfg.bandwidth = 4;
-      cfg.shards = shards;
-      return run_kmachine(algo, g, /*seed=*/29, cfg);
-    };
-    const auto live = run_with(/*shards=*/1);
-    const auto sharded = run_with(/*shards=*/4);
+    const auto live = priced_run(algo, g, /*seed=*/29, /*k=*/8, /*bandwidth=*/4, /*shards=*/1);
+    const auto sharded = priced_run(algo, g, /*seed=*/29, /*k=*/8, /*bandwidth=*/4, /*shards=*/4);
 
-    EXPECT_EQ(sharded.report.success, live.report.success) << name;
-    EXPECT_EQ(sharded.report.congest_rounds, live.report.congest_rounds) << name;
-    EXPECT_EQ(sharded.report.kmachine_rounds, live.report.kmachine_rounds) << name;
-    EXPECT_EQ(sharded.report.cross_messages, live.report.cross_messages) << name;
-    EXPECT_EQ(sharded.report.local_messages, live.report.local_messages) << name;
-    EXPECT_EQ(sharded.report.busiest_link_peak, live.report.busiest_link_peak) << name;
-    EXPECT_GT(live.report.kmachine_rounds, 0u) << name;
+    EXPECT_EQ(sharded.result.success, live.result.success) << name;
+    EXPECT_EQ(sharded.result.metrics.rounds, live.result.metrics.rounds) << name;
+    EXPECT_EQ(sharded.cost.kmachine_rounds(), live.cost.kmachine_rounds()) << name;
+    EXPECT_EQ(sharded.cost.cross_messages(), live.cost.cross_messages()) << name;
+    EXPECT_EQ(sharded.cost.local_messages(), live.cost.local_messages()) << name;
+    EXPECT_EQ(sharded.cost.busiest_link_peak(), live.cost.busiest_link_peak()) << name;
+    EXPECT_GT(live.cost.kmachine_rounds(), 0u) << name;
 
-    if (live.report.success) {
+    if (live.result.success) {
       const auto v = graph::verify_cycle_incidence(g, live.result.cycle);
       EXPECT_TRUE(v.ok()) << name << ": " << (v.failure ? *v.failure : "");
     }
@@ -316,22 +319,21 @@ TEST(RunKMachine, ReportShardInvariantForEveryAlgorithm) {
 TEST(RunKMachine, MoreMachinesHelp) {
   support::Rng rng(3);
   const auto g = graph::gnp(256, graph::edge_probability(256, 2.5, 0.5), rng);
-  for (const char* name : {"dhc2", "turau", "dra"}) {
-    const auto run_with = [&](std::uint32_t k) {
-      KMachineConfig cfg;
-      cfg.k = k;
-      cfg.bandwidth = 16;
-      return run_kmachine(algorithm_by_name(name), g, /*seed=*/41, cfg).report;
-    };
-    const auto r4 = run_with(4);
-    const auto r16 = run_with(16);
-    ASSERT_TRUE(r4.success) << name;
-    ASSERT_TRUE(r16.success) << name;
-    EXPECT_EQ(r4.congest_rounds, r16.congest_rounds) << name;  // same underlying run
-    EXPECT_GT(r4.kmachine_rounds, 0u) << name;
-    EXPECT_LT(r16.kmachine_rounds, r4.kmachine_rounds) << name;
-    EXPECT_GT(r16.cross_messages, r4.cross_messages) << name;  // fewer co-located pairs
-    EXPECT_GT(r4.busiest_link_peak, 0u) << name;
+  const NamedAlgorithm algorithms[] = {
+      {"dhc2", dhc2_algorithm()},
+      {"turau", turau_algorithm()},
+      {"dra", dra_algorithm()},
+  };
+  for (const auto& [name, algo] : algorithms) {
+    const auto r4 = priced_run(algo, g, /*seed=*/41, /*k=*/4, /*bandwidth=*/16);
+    const auto r16 = priced_run(algo, g, /*seed=*/41, /*k=*/16, /*bandwidth=*/16);
+    ASSERT_TRUE(r4.result.success) << name;
+    ASSERT_TRUE(r16.result.success) << name;
+    EXPECT_EQ(r4.result.metrics.rounds, r16.result.metrics.rounds) << name;  // same run
+    EXPECT_GT(r4.cost.kmachine_rounds(), 0u) << name;
+    EXPECT_LT(r16.cost.kmachine_rounds(), r4.cost.kmachine_rounds()) << name;
+    EXPECT_GT(r16.cost.cross_messages(), r4.cost.cross_messages()) << name;  // fewer co-located pairs
+    EXPECT_GT(r4.cost.busiest_link_peak(), 0u) << name;
   }
 }
 

@@ -169,12 +169,11 @@ TEST(TraceKMachine, KRoundChargesSumToReportRounds) {
   TraceRecorder rec;
   core::Dhc2Config base;
   base.trace = &rec;
-  kmachine::KMachineConfig kcfg;
-  kcfg.k = 4;
-  kcfg.bandwidth = 16;
-  kcfg.trace = &rec;
-  const auto out = kmachine::run_kmachine(kmachine::dhc2_algorithm(base), g, 5, kcfg);
-  rec.finalize(out.result.metrics);
+  kmachine::KMachineCost cost(g.n(), /*k=*/4, /*bandwidth=*/16, /*partition seed=*/5);
+  cost.set_trace(&rec);
+  const auto r = kmachine::dhc2_algorithm(base)(g, 5, &cost, /*shards=*/0, /*faults=*/nullptr);
+  cost.finish();
+  rec.finalize(r.metrics);
 
   ASSERT_FALSE(rec.krounds().empty());
   std::uint64_t charge_sum = 0;
@@ -183,10 +182,10 @@ TEST(TraceKMachine, KRoundChargesSumToReportRounds) {
     EXPECT_GE(k.charge, 1u);
     charge_sum += k.charge;
   }
-  EXPECT_EQ(charge_sum, out.report.kmachine_rounds);
-  EXPECT_EQ(rec.kmachine_rounds_total(), out.report.kmachine_rounds);
+  EXPECT_EQ(charge_sum, cost.kmachine_rounds());
+  EXPECT_EQ(rec.kmachine_rounds_total(), cost.kmachine_rounds());
   // Network rounds recorded alongside the pricing stream.
-  EXPECT_EQ(rec.metrics().rounds, out.report.congest_rounds);
+  EXPECT_EQ(rec.metrics().rounds, r.metrics.rounds);
 }
 
 TEST(TraceReader, RoundTripPreservesEveryRecord) {
