@@ -15,8 +15,8 @@
 // state, no draw ordering.  That is the determinism argument for the async
 // backend: because a decision depends only on the identity of the edge/node
 // and the round, it is independent of the order in which sends are committed,
-// so the sharded engine's serial merge replays the exact decisions the
-// sequential path makes and shard-invariance holds for free.
+// so the engine's serial merge makes the same decisions for every shard
+// count and shard-invariance holds for free.
 //
 // The hash is the splitmix64 word-absorption chain used for trial seed
 // derivation (src/runner/scenario.cc), with a distinct salt per question.

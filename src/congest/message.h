@@ -5,8 +5,8 @@
 // concrete: a message carries up to kMaxWords payload words, where one word
 // is one Θ(log n)-bit field (a node id, an index, a size).  The bandwidth is
 // therefore B = kMaxWords·⌈log₂ n⌉ + O(1) bits, the standard allowance; the
-// network layer rejects attempts to push more than `edge_capacity` messages
-// onto one directed edge in one round, so model violations fail loudly.
+// network layer rejects a second message on one directed edge in one round,
+// so model violations fail loudly.
 #pragma once
 
 #include <array>

@@ -5,15 +5,15 @@
 // directly; the "fully distributed" property is an experiment (EXP-L1), not
 // an assertion.
 //
-// Per-node accounting has three modes (NodeStatsMode).  kFull keeps the five
+// Per-node accounting has two modes (NodeStatsMode).  kFull keeps the five
 // classic 64-bit per-node vectors (40 B/node) — the mode every golden and
 // differential test pins.  kStreaming keeps compact 32-bit accumulators
 // (16 B/node), skips the received-messages vector entirely (one fewer
 // receiver-side cache-line touch per delivered message), and reports the
 // per-node distributions as streaming summaries (count/sum/max +
 // p50/p95/p99 through a support::QuantileSketch) — the million-node mode.
-// kOff keeps nothing per node.  All modes leave the headline counters
-// (rounds, messages, bits, barriers, phase marks) bitwise identical.
+// Both modes leave the headline counters (rounds, messages, bits, barriers,
+// phase marks) bitwise identical.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,7 @@
 namespace dhc::congest {
 
 /// How much per-node accounting a run keeps (see file comment).
-enum class NodeStatsMode : std::uint8_t { kFull, kStreaming, kOff };
+enum class NodeStatsMode : std::uint8_t { kFull, kStreaming };
 
 /// Streaming digest of one per-node distribution (messages sent, peak
 /// memory, compute ops), computed by Metrics::finalize_node_stats().  Exact
@@ -66,11 +66,11 @@ struct Metrics {
   bool hit_round_limit = false;
 
   /// High-water mark of the simulator's message arenas, in bytes: the
-  /// per-round maximum of logical messages in flight (outbox and shard logs
-  /// + inbox arena + async delay wheel/far map) × sizeof(Message), which is
-  /// 28 B; an async frame's 8-byte overlay header is not counted.  Counts
-  /// logical occupancy, never vector capacities, so it is bitwise identical
-  /// across shard counts and arena-budget settings.
+  /// per-round maximum of logical messages in flight (shard logs + inbox
+  /// arena + async delay wheel/far map) × sizeof(Message), which is 28 B; an
+  /// async frame's 8-byte overlay header is not counted.  Counts logical
+  /// occupancy, never vector capacities, so it is bitwise identical across
+  /// shard counts.
   std::uint64_t arena_bytes_peak = 0;
 
   /// Async-model fault accounting (all zero on synchronous runs).  Note the
@@ -145,7 +145,7 @@ struct Metrics {
 
   /// Maximum over nodes of messages sent (congestion/load balance).  Reads
   /// whichever representation the mode kept (vector, compact vector, or the
-  /// finalized summary).
+  /// finalized summary when both are empty).
   std::uint64_t max_node_messages_sent() const;
 
   /// Maximum over nodes of peak registered memory.
@@ -155,8 +155,8 @@ struct Metrics {
   std::uint64_t max_node_compute() const;
 
   /// Computes the four NodeStatSummary digests from the mode's vectors:
-  /// exact (sorted nearest-rank) in kFull, sketch-backed in kStreaming,
-  /// zeros in kOff.  Called by Network::run; idempotent.
+  /// exact (sorted nearest-rank) in kFull, sketch-backed in kStreaming.
+  /// Called by Network::run; idempotent.
   void finalize_node_stats();
 
   /// Total rounds spent under the label, summed over *every* span carrying
@@ -164,13 +164,13 @@ struct Metrics {
   /// span ends at the next mark, the last one at rounds + 1).
   std::uint64_t phase_rounds(const std::string& label) const;
 
-  /// Field-for-field equality (shard- and budget-invariance checks).
+  /// Field-for-field equality (shard-invariance checks).
   friend bool operator==(const Metrics&, const Metrics&) = default;
 };
 
 std::string to_string(NodeStatsMode mode);
 
-/// Parses full | streaming | off; throws std::invalid_argument otherwise.
+/// Parses full | streaming; throws std::invalid_argument otherwise.
 NodeStatsMode parse_node_stats_mode(const std::string& s);
 
 }  // namespace dhc::congest

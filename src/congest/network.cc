@@ -28,17 +28,6 @@ std::uint32_t env_or(const char* name, std::uint32_t fallback) {
   return static_cast<std::uint32_t>(parsed);
 }
 
-// Byte-count environment knob (DHC_ARENA_BUDGET): full u64 range, since
-// budgets are sized in hundreds of megabytes.  0/absent/garbage → fallback.
-std::uint64_t env_bytes_or(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || parsed == 0) return fallback;
-  return static_cast<std::uint64_t>(parsed);
-}
-
 }  // namespace
 
 std::uint32_t default_shards() { return env_or("DHC_SHARDS", 1); }
@@ -146,10 +135,6 @@ void Metrics::finalize_node_stats() {
       peak_memory_summary = sketch_summary(node_mem_peak32);
       compute_summary = sketch_summary(node_compute32);
       return;
-    case NodeStatsMode::kOff:
-      sent_summary = received_summary = peak_memory_summary = compute_summary =
-          NodeStatSummary{};
-      return;
   }
 }
 
@@ -173,8 +158,6 @@ std::string to_string(NodeStatsMode mode) {
       return "full";
     case NodeStatsMode::kStreaming:
       return "streaming";
-    case NodeStatsMode::kOff:
-      return "off";
   }
   return "full";
 }
@@ -182,9 +165,7 @@ std::string to_string(NodeStatsMode mode) {
 NodeStatsMode parse_node_stats_mode(const std::string& s) {
   if (s == "full") return NodeStatsMode::kFull;
   if (s == "streaming") return NodeStatsMode::kStreaming;
-  if (s == "off") return NodeStatsMode::kOff;
-  throw std::invalid_argument("unknown node_stats mode '" + s +
-                              "' (expected full|streaming|off)");
+  throw std::invalid_argument("unknown node_stats mode '" + s + "' (expected full|streaming)");
 }
 
 // ---------------------------------------------------------------------------
@@ -192,11 +173,9 @@ NodeStatsMode parse_node_stats_mode(const std::string& s) {
 // ---------------------------------------------------------------------------
 
 Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cfg) {
-  DHC_REQUIRE(cfg_.edge_capacity >= 1, "edge_capacity must be at least 1");
   shards_ = cfg_.shards != 0 ? cfg_.shards : default_shards();
   shard_grain_ = cfg_.shard_grain != 0 ? cfg_.shard_grain : env_or("DHC_SHARD_GRAIN", 32);
-  arena_budget_bytes_ =
-      cfg_.arena_budget_bytes != 0 ? cfg_.arena_budget_bytes : env_bytes_or("DHC_ARENA_BUDGET", 0);
+  shard_state_.resize(shards_);
   node_stats_ = cfg_.node_stats;
   const std::size_t n = g.n();
   bits_per_word_ = std::max<std::uint64_t>(
@@ -206,13 +185,12 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
   inbox_len_.assign(n, 0);
   inbox_cursor_.assign(n, 0);
   has_mail_.assign(n, 0);
-  // Directed-edge load table, indexed by the graph's CSR layout: the edge id
+  // Directed-edge round tags, indexed by the graph's CSR layout: the edge id
   // of u→v is row_offsets[u] + neighbor_rank(u, v).
   const auto offsets = g.row_offsets();
   edge_offsets_.assign(offsets.begin(), offsets.end());
   const std::size_t total_directed = edge_offsets_.empty() ? 0 : edge_offsets_.back();
-  edge_load_.assign(total_directed, 0);
-  edge_load_round_.assign(total_directed, static_cast<std::uint64_t>(-1));
+  edge_round_.assign(total_directed, static_cast<std::uint64_t>(-1));
 
   wheel_.resize(kWheelSize);
 
@@ -244,13 +222,12 @@ void Network::throw_non_neighbor(NodeId from, NodeId to) const {
                          std::to_string(to) + " in round " + std::to_string(round_));
 }
 
-void Network::throw_over_capacity(const std::vector<Message>& round_outbox, NodeId from,
-                                  NodeId to, const Message& msg) const {
+void Network::throw_over_capacity(const ShardState& sh, NodeId from, NodeId to,
+                                  const Message& msg) const {
   // All of this round's prior sends on (from → to) live in the sender's own
-  // outbox log — sequential or shard-local alike — so the diagnostic is
-  // identical for every shard count.
+  // shard log, so the diagnostic is identical for every shard count.
   std::string prior_tags;
-  for (const Message& queued : round_outbox) {
+  for (const Message& queued : sh.outbox) {
     if (queued.from == from && queued.to == to) {
       prior_tags += ' ';
       prior_tags += std::to_string(queued.tag);
@@ -258,8 +235,8 @@ void Network::throw_over_capacity(const std::vector<Message>& round_outbox, Node
   }
   throw CongestViolation("edge (" + std::to_string(from) + "→" + std::to_string(to) +
                          ") over capacity in round " + std::to_string(round_) +
-                         ": CONGEST allows " + std::to_string(cfg_.edge_capacity) +
-                         " message(s) per edge per round (new tag " + std::to_string(msg.tag) +
+                         ": CONGEST allows 1 message(s) per edge per round (new tag " +
+                         std::to_string(msg.tag) +
                          ", queued tags:" + prior_tags + ")");
 }
 
@@ -397,10 +374,12 @@ void Network::mature_async_messages() {
   // so far-then-wheel, each vector in append order, IS the global send
   // order, and per-node arrival order stays send-order just like the
   // synchronous scatter.
+  std::vector<Message>& staged = shard_state_[0].outbox;  // emptied by the last merge
   const auto deliver_one = [&](const Message& m) {
     if (node_stats_ == NodeStatsMode::kFull) metrics_.node_messages_received[m.to] += 1;
     if (inbox_count_[m.to]++ == 0) next_active_.push_back(m.to);
-    outbox_.push_back(m);
+    staged.push_back(m);
+    ++parked_;
   };
   const auto deliver = [&](std::vector<Frame>& frames) {
     for (const Frame& f : frames) {
@@ -471,8 +450,8 @@ void Network::filter_crashed_active() {
 }
 
 void Network::deliver_and_build_active_set() {
-  // Async regime: move every message whose latency elapses this round into
-  // the outbox first; the synchronous mail walk below then treats them
+  // Async regime: stage every message whose latency elapses this round in
+  // shard 0's log first; the synchronous mail walk below then treats them
   // exactly like last round's sends.
   if (faults_ != nullptr) mature_async_messages();
 
@@ -531,82 +510,53 @@ void Network::deliver_and_build_active_set() {
 
   if (faults_ != nullptr && faults_->crashes_active()) filter_crashed_active();
 
-  // Stable scatter: global send order becomes per-node arrival order.  The
-  // outbox log comes first, then the shard logs in shard order — the
-  // concatenation the sequential stepper would have built (DESIGN.md §5).
-  const std::size_t live = mail_in_flight();
-  inbox_live_ = live;
-  if (inbox_arena_.size() < live) {
-    // Budgeted runs reserve exactly what this round needs; unbudgeted runs
-    // keep vector growth (amortized doubling) for raw speed.
-    if (arena_budget_bytes_ != 0) inbox_arena_.reserve(live);
-    inbox_arena_.resize(live);
-  }
-  const auto scatter = [&](std::vector<Message>& log) {
-    for (const Message& m : log) inbox_arena_[inbox_cursor_[m.to]++] = m;
-    log.clear();
-  };
-  scatter(outbox_);
+  // Stable scatter: the shard logs in shard order are the global send order
+  // (DESIGN.md §5), which becomes per-node arrival order.
+  inbox_live_ = parked_;
+  if (inbox_arena_.size() < parked_) inbox_arena_.resize(parked_);
   if (parked_ != 0) {
-    for (ShardState& sh : shard_state_) scatter(sh.outbox);
+    for (ShardState& sh : shard_state_) {
+      for (const Message& m : sh.outbox) inbox_arena_[inbox_cursor_[m.to]++] = m;
+      sh.outbox.clear();
+    }
     parked_ = 0;
   }
 }
 
-void Network::sample_and_trim_arenas() {
-  // Logical in-flight messages at the round epilogue: sends queued for next
-  // round (outbox and shard logs), this round's delivered inboxes, and
-  // everything parked in the async delay structures, at sizeof(Message)
-  // each (a frame's overlay header is not counted).  Logical counts only —
-  // vector capacities differ across shard counts, these numbers never do.
-  const std::uint64_t in_flight = static_cast<std::uint64_t>(mail_in_flight()) + inbox_live_ +
-                                  delay_armed_ + far_msg_armed_;
+void Network::sample_arenas() {
+  // Logical in-flight messages at the round epilogue: sends parked for next
+  // round, this round's delivered inboxes, and everything in the async delay
+  // structures, at sizeof(Message) each (a frame's overlay header is not
+  // counted).  Logical counts only — vector capacities differ across shard
+  // counts, these numbers never do.
+  const std::uint64_t in_flight =
+      static_cast<std::uint64_t>(parked_) + inbox_live_ + delay_armed_ + far_msg_armed_;
   const std::uint64_t bytes = in_flight * sizeof(Message);
   if (bytes > metrics_.arena_bytes_peak) metrics_.arena_bytes_peak = bytes;
-  if (arena_budget_bytes_ == 0) return;
-
-  // Budget enforcement is a pure capacity policy: reserved-but-idle slots
-  // are released when they exceed the budget, contents are never touched.
-  const auto bytes_of = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
-  std::size_t reserved = bytes_of(outbox_) + bytes_of(inbox_arena_);
-  for (const auto& b : delay_wheel_) reserved += bytes_of(b);
-  for (const ShardState& sh : shard_state_) reserved += bytes_of(sh.outbox);
-  if (reserved <= arena_budget_bytes_) return;
-
-  // The inbox arena was fully consumed by this round's steps; next round
-  // rebuilds it from the outbox and shard logs, so their total is its floor.
-  inbox_arena_.resize(mail_in_flight());
-  inbox_arena_.shrink_to_fit();
-  outbox_.shrink_to_fit();  // keeps contents, drops slack
-  for (auto& b : delay_wheel_) {
-    if (b.empty() && b.capacity() != 0) std::vector<Frame>().swap(b);
-  }
-  for (ShardState& sh : shard_state_) sh.outbox.shrink_to_fit();
 }
 
 void Network::step_active_set(Protocol& protocol) {
-  // The shard engine pays a per-round dispatch (pool wake + serial merge);
-  // rounds too small to amortize it step sequentially.  The gate depends
+  // A pool dispatch costs a wake-up and a barrier; rounds too small to
+  // amortize it step on the calling thread into shard 0.  The gate depends
   // only on deterministic state — active-set size, shard knobs, and the
-  // protocol's phase — so the choice of path is itself deterministic, and
-  // both paths produce bitwise-identical results by construction.
-  const bool shard_this_round = shards_ > 1 &&
-                                active_.size() >= static_cast<std::size_t>(shards_) * shard_grain_ &&
-                                protocol.parallel_step_safe();
-  last_round_sharded_ = shard_this_round;
-  if (!shard_this_round) {
+  // protocol's phase — and both ways fill the logs in the same global send
+  // order, so the choice is invisible in every result.
+  last_round_sharded_ = shards_ > 1 &&
+                        active_.size() >= static_cast<std::size_t>(shards_) * shard_grain_ &&
+                        protocol.parallel_step_safe();
+  if (last_round_sharded_) {
+    step_sharded(protocol);
+  } else {
     for (const NodeId v : active_) {
-      Context ctx(*this, v, nullptr);
+      Context ctx(*this, v, shard_state_[0]);
       protocol.step(ctx);
     }
-    return;
   }
-  step_sharded(protocol);
+  merge_shard_logs();
 }
 
 void Network::step_sharded(Protocol& protocol) {
   if (pool_ == nullptr) {
-    shard_state_.resize(shards_);
     // The shard *partition* is fixed by shards_; the pool merely executes
     // it, so worker count is capped by the hardware without affecting
     // results (a 1-lane pool steps the shards back to back, in order).
@@ -629,7 +579,7 @@ void Network::step_sharded(Protocol& protocol) {
     const auto t0 = profile ? std::chrono::steady_clock::now()
                             : std::chrono::steady_clock::time_point{};
     for (std::size_t i = begin; i < end; ++i) {
-      Context ctx(*this, active_[i], &sh);
+      Context ctx(*this, active_[i], sh);
       protocol.step(ctx);
     }
     if (profile) {
@@ -640,17 +590,16 @@ void Network::step_sharded(Protocol& protocol) {
       trace_shard_active_[shard_index] = static_cast<std::uint32_t>(end - begin);
     }
   });
-  merge_shard_logs();
 }
 
 void Network::merge_shard_logs() {
   // Serial replay of the receiver-side bookkeeping, in shard order.  Shards
   // are contiguous slices of the id-sorted active set and each shard's log
   // is in its own send order, so this loop walks the messages in exactly
-  // the global sequential send order: next_active_ first-touch order, wheel
-  // bucket contents, and the observer event stream all come out identical
-  // to the sequential stepper's.  Synchronous sends stay parked in the
-  // shard logs; the next delivery scatters them in this same order.
+  // the global send order: next_active_ first-touch order, wheel bucket
+  // contents, and the observer event stream are the same for every shard
+  // count.  Synchronous sends stay parked in the shard logs; the next
+  // delivery scatters them in this same order.
   for (ShardState& sh : shard_state_) {
     metrics_.messages += sh.messages;
     metrics_.bits += sh.bits;
@@ -663,8 +612,7 @@ void Network::merge_shard_logs() {
     if (faults_ != nullptr) {
       // Async regime: replay each send through the fault plan in the global
       // send order.  Every drop/delay decision is a pure hash of the edge
-      // and round, so this serial replay makes exactly the decisions the
-      // sequential path makes — shard invariance needs no extra argument.
+      // and round, so the decisions are the same for every shard count.
       for (const Message& m : sh.outbox) enqueue_async(m.from, m.to, m);
       sh.outbox.clear();
     } else {
@@ -680,13 +628,20 @@ void Network::merge_shard_logs() {
   }
 }
 
-void Network::emit_round_trace(std::uint64_t sent, std::uint64_t bits, std::uint64_t wakeups,
+Network::TraceCounters Network::trace_counters() const {
+  return {metrics_.messages,          metrics_.bits,         metrics_.delayed_messages,
+          metrics_.dropped_messages,  metrics_.crash_dropped_messages,
+          metrics_.crashed_steps,     metrics_.retransmits,  metrics_.dup_suppressed,
+          metrics_.acks_sent};
+}
+
+void Network::emit_round_trace(const TraceCounters& before, std::uint64_t wakeups,
                                std::uint64_t wall_ns) {
   RoundTrace rt;
   rt.round = round_;
   rt.active = active_.size();
-  rt.sent = sent;
-  rt.bits = bits;
+  rt.sent = metrics_.messages - before.messages;
+  rt.bits = metrics_.bits - before.bits;
   rt.wakeups = wakeups;
   rt.wall_ns = wall_ns;
   rt.sharded = last_round_sharded_;
@@ -695,6 +650,25 @@ void Network::emit_round_trace(std::uint64_t sent, std::uint64_t bits, std::uint
     rt.shard_active = {trace_shard_active_.data(), trace_shard_active_.size()};
   }
   cfg_.trace->on_round(rt);
+  if (faults_ == nullptr) return;
+  FaultTrace ft;
+  ft.round = round_;
+  ft.delayed = metrics_.delayed_messages - before.delayed;
+  ft.dropped = metrics_.dropped_messages - before.dropped;
+  ft.crash_dropped = metrics_.crash_dropped_messages - before.crash_dropped;
+  ft.crashed_steps = metrics_.crashed_steps - before.crashed_steps;
+  if (ft.delayed + ft.dropped + ft.crash_dropped + ft.crashed_steps > 0) {
+    cfg_.trace->on_faults(ft);
+  }
+  if (reliable_ == nullptr) return;
+  RetransTrace rt2;
+  rt2.round = round_;
+  rt2.retransmits = metrics_.retransmits - before.retransmits;
+  rt2.dup_suppressed = metrics_.dup_suppressed - before.dup_suppressed;
+  rt2.acks_sent = metrics_.acks_sent - before.acks_sent;
+  if (rt2.retransmits + rt2.dup_suppressed + rt2.acks_sent > 0) {
+    cfg_.trace->on_retrans(rt2);
+  }
 }
 
 Metrics Network::run(Protocol& protocol) {
@@ -715,23 +689,21 @@ Metrics Network::run(Protocol& protocol) {
       metrics_.node_mem_peak32.assign(n, 0);
       metrics_.node_compute32.assign(n, 0);
       break;
-    case NodeStatsMode::kOff:
-      break;
   }
   round_ = 0;
-  protocol_ = &protocol;
   const bool tracing = cfg_.trace != nullptr;
 
   for (NodeId v = 0; v < graph_->n(); ++v) {
-    Context ctx(*this, v, nullptr);
+    Context ctx(*this, v, shard_state_[0]);
     protocol.begin(ctx);
   }
+  merge_shard_logs();
 
   bool rejoins_counted = false;
   while (true) {
     const bool delivery_pending = faults_ != nullptr && any_delivery_pending();
     const bool transport_pending = reliable_ != nullptr && reliable_->any_pending();
-    if (mail_in_flight() == 0 && !any_wakeup_armed() && !delivery_pending && !transport_pending) {
+    if (parked_ == 0 && !any_wakeup_armed() && !delivery_pending && !transport_pending) {
       if (!protocol.on_quiescence(*this)) break;
       metrics_.barrier_count += 1;
       if (tracing) cfg_.trace->on_barrier(round_, metrics_.barrier_cost_rounds);
@@ -752,7 +724,7 @@ Metrics Network::run(Protocol& protocol) {
                 "async advance with neither deliveries, transport timers, nor wake-ups pending");
       round_ = next;
     } else {
-      round_ = mail_in_flight() == 0 ? next_armed_round() : round_ + 1;
+      round_ = parked_ == 0 ? next_armed_round() : round_ + 1;
     }
     if (round_ > cfg_.max_rounds) {
       metrics_.hit_round_limit = true;
@@ -760,7 +732,7 @@ Metrics Network::run(Protocol& protocol) {
       // pending deliveries, armed retransmit/ack timers) hit the limit mid
       // flight — e.g. turau's delay livelock; one with only wake-up polling
       // left is the drop-stall signature (nothing will ever arrive again).
-      metrics_.round_limit_live = mail_in_flight() != 0 ||
+      metrics_.round_limit_live = parked_ != 0 ||
                                   (faults_ != nullptr && any_delivery_pending()) ||
                                   (reliable_ != nullptr && reliable_->any_pending());
       break;
@@ -778,56 +750,27 @@ Metrics Network::run(Protocol& protocol) {
       }
     }
 
+    // Tracing only brackets the round: counter snapshots for the record's
+    // deltas, and a wall clock that runs only on this traced path.
+    TraceCounters before{};
+    std::chrono::steady_clock::time_point t0{};
     if (tracing) {
-      // Counter snapshots bracket the round so the record carries this
-      // round's deltas; the wall clock runs only on this traced path.
-      const std::uint64_t msgs0 = metrics_.messages;
-      const std::uint64_t bits0 = metrics_.bits;
-      const std::uint64_t delayed0 = metrics_.delayed_messages;
-      const std::uint64_t dropped0 = metrics_.dropped_messages;
-      const std::uint64_t crash_dropped0 = metrics_.crash_dropped_messages;
-      const std::uint64_t crashed0 = metrics_.crashed_steps;
-      const std::uint64_t retrans0 = metrics_.retransmits;
-      const std::uint64_t dup0 = metrics_.dup_suppressed;
-      const std::uint64_t acks0 = metrics_.acks_sent;
-      const auto t0 = std::chrono::steady_clock::now();
-      deliver_and_build_active_set();
-      const std::uint64_t wake0 = wheel_armed_ + far_wakeups_.size();
-      step_active_set(protocol);
+      before = trace_counters();
+      t0 = std::chrono::steady_clock::now();
+    }
+    deliver_and_build_active_set();
+    const std::uint64_t wake0 = wheel_armed_ + far_wakeups_.size();
+    step_active_set(protocol);
+    if (tracing) {
       const auto wall_ns = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - t0)
               .count());
       const std::uint64_t wake1 = wheel_armed_ + far_wakeups_.size();
-      emit_round_trace(metrics_.messages - msgs0, metrics_.bits - bits0,
-                       wake1 > wake0 ? wake1 - wake0 : 0, wall_ns);
-      if (faults_ != nullptr) {
-        FaultTrace ft;
-        ft.round = round_;
-        ft.delayed = metrics_.delayed_messages - delayed0;
-        ft.dropped = metrics_.dropped_messages - dropped0;
-        ft.crash_dropped = metrics_.crash_dropped_messages - crash_dropped0;
-        ft.crashed_steps = metrics_.crashed_steps - crashed0;
-        if (ft.delayed + ft.dropped + ft.crash_dropped + ft.crashed_steps > 0) {
-          cfg_.trace->on_faults(ft);
-        }
-        if (reliable_ != nullptr) {
-          RetransTrace rt2;
-          rt2.round = round_;
-          rt2.retransmits = metrics_.retransmits - retrans0;
-          rt2.dup_suppressed = metrics_.dup_suppressed - dup0;
-          rt2.acks_sent = metrics_.acks_sent - acks0;
-          if (rt2.retransmits + rt2.dup_suppressed + rt2.acks_sent > 0) {
-            cfg_.trace->on_retrans(rt2);
-          }
-        }
-      }
-    } else {
-      deliver_and_build_active_set();
-      step_active_set(protocol);
+      emit_round_trace(before, wake1 > wake0 ? wake1 - wake0 : 0, wall_ns);
     }
 
-    sample_and_trim_arenas();
+    sample_arenas();
 
     for (const NodeId v : active_) {
       inbox_len_[v] = 0;
@@ -837,7 +780,6 @@ Metrics Network::run(Protocol& protocol) {
 
   metrics_.rounds = round_;
   metrics_.finalize_node_stats();
-  protocol_ = nullptr;
   return metrics_;
 }
 

@@ -2,33 +2,31 @@
 //
 // Executes a Protocol over a graph in discrete rounds (paper §I-A): messages
 // sent in round r are delivered at the start of round r+1; each directed
-// edge carries at most `edge_capacity` messages per round (violations
-// throw).  Scheduling is event-driven — only nodes holding freshly delivered
-// messages or armed wake-ups run — so simulation cost tracks message volume,
-// not n × rounds.
+// edge carries at most one message per round (a second send throws).
+// Scheduling is event-driven — only nodes holding freshly delivered messages
+// or armed wake-ups run — so simulation cost tracks message volume, not
+// n × rounds.
 //
 // Memory layout (DESIGN.md §4): the hot path is allocation-free in the
-// steady state.  Sends append 28-byte Messages to a flat outbox log (or, on
-// sharded rounds, to the shard logs); at the next round's delivery the logs
-// are scattered — stably, so per-node arrival order is the global send
-// order, exactly as the old per-node queues behaved — into a flat inbox
-// arena in which every active node owns one contiguous slice.  inbox() is a
-// span over that slice.  Wake-ups live in a fixed-size bucket wheel indexed
-// by round (far-future wake-ups overflow into a small heap) instead of a
-// std::map.  All arenas and wheel buckets are reused across rounds.
+// steady state.  Sends append 28-byte Messages to the sending shard's log;
+// at the next round's delivery the logs are scattered in shard order —
+// stably, so per-node arrival order is the global send order — into a flat
+// inbox arena in which every active node owns one contiguous slice.  inbox()
+// is a span over that slice.  Wake-ups live in a fixed-size bucket wheel
+// indexed by round (far-future wake-ups overflow into a small heap) instead
+// of a std::map.  All arenas and wheel buckets are reused across rounds.
 //
-// Sharded rounds (DESIGN.md §5): with cfg.shards > 1, large rounds step the
-// id-sorted active set as contiguous shard slices on a persistent worker
-// pool.  Each shard appends sends, wake-ups, and observer events to its own
-// logs; a serial merge in shard order then replays the receiver-side
-// bookkeeping, and the next delivery scatters the outbox log and then the
-// shard logs in shard order, with no intermediate copy.  Because the shards
-// are contiguous slices of the id-sorted active set, that order is the
-// sequential global send order exactly — the stable scatter, per-node inbox
-// order, wheel bucket contents, per-node RNG streams, and every Metrics
-// counter are bitwise identical for any shard count (including 1).  The
-// shard partition is independent of how many pool threads execute it, so
-// determinism never depends on the machine.
+// One round engine (DESIGN.md §5): every round steps the id-sorted active
+// set into shard logs — sends, wake-ups, observer events — and a serial
+// merge in shard order then replays the receiver-side bookkeeping.  Small
+// rounds (and begin()) step on the calling thread into shard 0; with
+// cfg.shards > 1, large rounds step contiguous shard slices on a persistent
+// worker pool.  Because the shards are contiguous slices of the id-sorted
+// active set, the merge order is the global send order whatever the slicing
+// — the stable scatter, per-node inbox order, wheel bucket contents,
+// per-node RNG streams, and every Metrics counter are bitwise identical for
+// any shard count.  The shard partition is independent of how many pool
+// threads execute it, so determinism never depends on the machine.
 //
 // Phase barriers: when the network goes quiescent (no messages in flight, no
 // wake-ups armed) the protocol's on_quiescence() hook runs; it can advance
@@ -78,10 +76,10 @@ namespace internal {
 
 /// Thread-local log of one shard's round: sends, wake-ups, observer events,
 /// and the shard's slice of the global counters.  Merged serially in shard
-/// order after the parallel section and cleared (capacity kept); on
-/// synchronous rounds the outbox instead stays parked until the next
-/// delivery scatters it straight into the inbox arena.  Cache-line aligned
-/// so neighboring shards' counters never share a line.
+/// order after the round's steps and cleared (capacity kept); on synchronous
+/// runs the outbox instead stays parked until the next delivery scatters it
+/// straight into the inbox arena.  Cache-line aligned so neighboring shards'
+/// counters never share a line.
 struct alignas(64) ShardState {
   std::vector<Message> outbox;
   std::vector<std::pair<std::uint64_t, NodeId>> wakeups;  // (delay, node)
@@ -97,16 +95,10 @@ struct alignas(64) ShardState {
 class MessageObserver {
  public:
   virtual ~MessageObserver() = default;
-  /// Called for every sent message with the round it was sent in
-  /// (sequential rounds only; sharded rounds deliver batches below).
-  virtual void on_send(NodeId from, NodeId to, std::uint64_t round) = 0;
-  /// Called once per merged shard log on sharded rounds; events arrive in
-  /// the exact global send order, so the default — replaying them through
-  /// on_send() — makes any observer shard-correct.  Observers on hot paths
-  /// (KMachineCost) override this to consume the batch directly.
-  virtual void on_events(std::span<const SendEvent> events) {
-    for (const SendEvent& e : events) on_send(e.from, e.to, e.round);
-  }
+  /// Called once per non-empty shard log by the serial merge, after the
+  /// round's steps; across calls, events arrive in the exact global send
+  /// order, so the stream is identical for every shard count.
+  virtual void on_events(std::span<const SendEvent> events) = 0;
 };
 
 /// The execution knobs every CONGEST run takes, declared once: NetworkConfig
@@ -120,8 +112,8 @@ struct EngineOptions {
   MessageObserver* observer = nullptr;
 
   /// Shard count for intra-round parallelism.  0 resolves the DHC_SHARDS
-  /// environment variable (absent/invalid → 1); 1 is the classic sequential
-  /// stepper.  Results are bitwise identical for every value.
+  /// environment variable (absent/invalid → 1); 1 steps every round on the
+  /// calling thread.  Results are bitwise identical for every value.
   std::uint32_t shards = 0;
 
   /// Optional fault plan (not owned; must outlive the run).  nullptr — the
@@ -145,10 +137,6 @@ struct EngineOptions {
 };
 
 struct NetworkConfig : EngineOptions {
-  /// Messages allowed per directed edge per round (the paper's B; 1 is the
-  /// strict CONGEST setting used everywhere in libdhc).
-  std::uint32_t edge_capacity = 1;
-
   /// Hard stop: abort the run after this many rounds (safety net; a run that
   /// trips it reports hit_round_limit instead of looping forever).
   std::uint64_t max_rounds = 50'000'000;
@@ -157,19 +145,10 @@ struct NetworkConfig : EngineOptions {
   std::uint64_t seed = 0;
 
   /// Minimum active nodes *per shard* before a round is dispatched to the
-  /// pool; smaller rounds step sequentially (identical results, no dispatch
-  /// overhead).  0 resolves DHC_SHARD_GRAIN (absent/invalid → 32).
+  /// pool; smaller rounds step on the calling thread into shard 0 (identical
+  /// results, no dispatch overhead).  0 resolves DHC_SHARD_GRAIN
+  /// (absent/invalid → 32).
   std::uint32_t shard_grain = 0;
-
-  /// Byte budget for the message arenas (outbox and shard logs, inbox arena,
-  /// async delay wheel).  0 resolves DHC_ARENA_BUDGET (absent → unbounded).
-  /// When bounded, arena growth reserves exactly what a round needs (no
-  /// geometric doubling past the budget) and capacities shrink back to the
-  /// in-flight footprint whenever the reserved bytes exceed the budget.
-  /// Purely a capacity policy: every counter and result is bitwise identical
-  /// for every setting — Metrics::arena_bytes_peak reports logical
-  /// occupancy, which the budget never changes.
-  std::uint64_t arena_budget_bytes = 0;
 };
 
 /// The NetworkConfig a solver run uses: its engine options plus the seed.
@@ -203,7 +182,8 @@ class Context {
   std::span<const Message> inbox() const;
 
   /// Sends `msg` to neighbor `to` (delivered next round).  Throws
-  /// CongestViolation if `to` is not a neighbor or the edge is saturated.
+  /// CongestViolation if `to` is not a neighbor or the edge already carried
+  /// a message this round.
   void send(NodeId to, const Message& msg);
 
   /// Sends `msg` to neighbors()[rank].  Same semantics as send(), but O(1):
@@ -227,11 +207,11 @@ class Context {
 
  private:
   friend class Network;
-  Context(Network& net, NodeId self, internal::ShardState* shard)
+  Context(Network& net, NodeId self, internal::ShardState& shard)
       : net_(net), self_(self), shard_(shard) {}
   Network& net_;
   NodeId self_;
-  internal::ShardState* shard_;  // nullptr on sequential rounds
+  internal::ShardState& shard_;  // the log this step writes to
 };
 
 /// A distributed algorithm run by the Network.  Implementations hold all
@@ -263,7 +243,7 @@ class Protocol {
   /// once per round (so phase flags flipped in on_quiescence are stable).
   /// Protocols that route shared mutable state through plain members in
   /// some phase (DHC1's hypernode walk) return false there; those rounds
-  /// step sequentially regardless of the shard count.
+  /// step on the calling thread regardless of the shard count.
   virtual bool parallel_step_safe() const { return true; }
 };
 
@@ -320,18 +300,20 @@ class Network {
 
   void deliver_and_build_active_set();
   void step_active_set(Protocol& protocol);
-  /// Per-round footprint sample + budget enforcement (run() epilogue): max
-  /// logical in-flight bytes into metrics_.arena_bytes_peak, then — only
-  /// when a budget is set and exceeded by *reserved* capacity — shrink the
-  /// consumed arenas back to their in-flight footprint.
-  void sample_and_trim_arenas();
+  /// Per-round footprint sample (run() epilogue): max logical in-flight
+  /// bytes into metrics_.arena_bytes_peak.
+  void sample_arenas();
   void step_sharded(Protocol& protocol);
   void merge_shard_logs();
-  /// Synchronous messages awaiting the next delivery: the outbox log plus
-  /// the sends parked in the shard logs.
-  std::size_t mail_in_flight() const { return outbox_.size() + parked_; }
-  void emit_round_trace(std::uint64_t sent, std::uint64_t bits, std::uint64_t wakeups,
-                        std::uint64_t wall_ns);
+  /// The counters whose per-round deltas a traced round reports.
+  struct TraceCounters {
+    std::uint64_t messages, bits, delayed, dropped, crash_dropped, crashed_steps, retransmits,
+        dup_suppressed, acks_sent;
+  };
+  TraceCounters trace_counters() const;
+  /// Emits the round's RoundTrace, plus its FaultTrace / RetransTrace when
+  /// the async regime / reliable overlay produced any events.
+  void emit_round_trace(const TraceCounters& before, std::uint64_t wakeups, std::uint64_t wall_ns);
   std::uint64_t next_armed_round() const;
   void arm_wakeup(NodeId v, std::uint64_t delay);
   bool any_wakeup_armed() const { return wheel_armed_ != 0 || !far_wakeups_.empty(); }
@@ -342,8 +324,8 @@ class Network {
   /// vanish (counted), surviving ones are framed and filed in the message
   /// delay wheel (or the far map) under round_ + latency.  With the reliable
   /// overlay engaged, the frame is seq-stamped and buffered for
-  /// retransmission first.  Serial only: called from the sequential send
-  /// path and from the shard-log merge, never from inside a parallel section.
+  /// retransmission first.  Serial only: called from the shard-log merge,
+  /// never from inside a parallel section.
   void enqueue_async(NodeId from, NodeId to, const Message& msg);
   /// The transport tail of enqueue_async: link FIFO slot, drop decision,
   /// delay assignment, wheel filing (frame.msg.from/to already set).  Also
@@ -354,9 +336,10 @@ class Network {
   /// retransmit / standalone-ack messages (with Metrics accounting).
   void service_transport();
   /// Moves every message due this round from the delay wheel / far map into
-  /// outbox_ (stripping the frame header), applying crash-receiver drops and
-  /// the receiver-side first-touch bookkeeping that the synchronous path
-  /// does at send time.
+  /// shard 0's log (stripping the frame header), applying crash-receiver
+  /// drops and the receiver-side first-touch bookkeeping that the
+  /// synchronous merge does at send time.  The log is empty here: async
+  /// merges file every send into the delay wheel.
   void mature_async_messages();
   /// Earliest round > round_ holding a pending delivery (UINT64_MAX: none).
   std::uint64_t next_delivery_round() const;
@@ -364,13 +347,13 @@ class Network {
   /// Drops crashed nodes from the freshly built active set (serial pass).
   void filter_crashed_active();
 
-  void send_from(ShardState* sh, NodeId from, NodeId to, const Message& msg);
-  void send_ranked(ShardState* sh, NodeId from, std::size_t rank, const Message& msg);
-  void commit_send(ShardState* sh, NodeId from, NodeId to, std::size_t edge_id,
+  void send_from(ShardState& sh, NodeId from, NodeId to, const Message& msg);
+  void send_ranked(ShardState& sh, NodeId from, std::size_t rank, const Message& msg);
+  void commit_send(ShardState& sh, NodeId from, NodeId to, std::size_t edge_id,
                    const Message& msg);
   [[noreturn]] void throw_non_neighbor(NodeId from, NodeId to) const;
-  [[noreturn]] void throw_over_capacity(const std::vector<Message>& round_outbox, NodeId from,
-                                        NodeId to, const Message& msg) const;
+  [[noreturn]] void throw_over_capacity(const ShardState& sh, NodeId from, NodeId to,
+                                        const Message& msg) const;
   support::Rng& node_rng(NodeId v) { return rngs_[v]; }
 
   const graph::Graph* graph_;
@@ -379,27 +362,22 @@ class Network {
   std::uint32_t shard_grain_ = 32;  // resolved min active nodes per shard
   NodeStatsMode node_stats_ = NodeStatsMode::kFull;  // hoisted out of cfg_ for the send path
   std::uint64_t round_ = 0;
-  Protocol* protocol_ = nullptr;
   std::uint64_t bits_per_word_ = 1;  // ⌈log₂ n⌉, hoisted out of the send path
-  std::uint64_t arena_budget_bytes_ = 0;  // resolved cfg/DHC_ARENA_BUDGET (0 = unbounded)
 
-  // Message arenas (double-buffered): sends append to outbox_ on sequential
-  // rounds and to the shard logs on sharded ones; delivery scatters outbox_
-  // and then the shard logs, in shard order, into inbox_arena_, one
+  // Message arenas (double-buffered): sends append to the shard logs;
+  // delivery scatters the logs, in shard order, into inbox_arena_, one
   // contiguous slice per receiving node.
-  std::vector<Message> outbox_;       // send order
-  std::size_t parked_ = 0;            // synchronous sends parked in shard logs
+  std::size_t parked_ = 0;            // messages parked in the shard logs
   std::vector<Message> inbox_arena_;  // this round's inboxes, grouped by node
   std::vector<std::uint32_t> inbox_count_;   // per node: messages pending next round
   std::vector<std::uint32_t> inbox_off_;     // per node: slice start in inbox_arena_
   std::vector<std::uint32_t> inbox_len_;     // per node: slice length this round
   std::vector<std::uint32_t> inbox_cursor_;  // per node: scatter write cursor
-  std::vector<NodeId> next_active_;          // first-touch receivers of outbox_
+  std::vector<NodeId> next_active_;          // first-touch receivers of parked mail
   std::uint64_t inbox_live_ = 0;             // messages scattered this round (logical)
 
-  std::vector<std::uint32_t> edge_load_;        // per directed edge, this round
-  std::vector<std::uint64_t> edge_load_round_;  // round tag for lazy reset
-  std::vector<std::size_t> edge_offsets_;       // node -> first directed-edge id
+  std::vector<std::uint64_t> edge_round_;   // per directed edge: last synchronous send round
+  std::vector<std::size_t> edge_offsets_;  // node -> first directed-edge id
 
   std::vector<NodeId> active_;          // nodes to step this round
   std::vector<std::uint8_t> has_mail_;  // dedup mail vs wake-up activation
@@ -433,8 +411,8 @@ class Network {
   std::vector<Frame> transport_batch_;  // service_transport scratch
   std::vector<Frame> drain_batch_;      // in-order release scratch
 
-  std::vector<ShardState> shard_state_;          // size shards_ when sharding
-  std::unique_ptr<support::WorkerPool> pool_;    // created on first sharded round
+  std::vector<ShardState> shard_state_;        // shards_ logs; shard 0 also steps small rounds
+  std::unique_ptr<support::WorkerPool> pool_;  // created on first sharded round
 
   // Shard-profiling scratch for the flight recorder (filled by step_sharded
   // only when a trace sink is attached; the RoundTrace spans point here).
@@ -448,13 +426,12 @@ class Network {
 
 // ---------------------------------------------------------------------------
 // Inline hot path.  One Context::send is one neighbor-rank lookup, one edge
-// budget check, metric bumps, and a single 28-byte append — no intermediate
-// Message copies (the old out-of-line path copied the struct three times)
-// and no per-message allocation once the outbox has warmed up.  On sharded
-// rounds the append, the global counters, and the receiver-side bookkeeping
-// go to the shard log instead (one predictable branch); everything the send
-// touches directly — the edge budget row and node_messages_sent[from] — is
-// owned by the sending node and therefore by exactly one shard.
+// round-tag check, metric bumps, and a single 28-byte append to the shard's
+// log — no intermediate Message copies and no per-message allocation once
+// the log has warmed up.  The global counters and the receiver-side
+// bookkeeping go to the shard log and wait for the merge; everything the
+// send touches directly — the edge's round tag and node_messages_sent[from]
+// — is owned by the sending node and therefore by exactly one shard.
 // ---------------------------------------------------------------------------
 
 inline void Network::arm_wakeup(NodeId v, std::uint64_t delay) {
@@ -467,18 +444,15 @@ inline void Network::arm_wakeup(NodeId v, std::uint64_t delay) {
   }
 }
 
-inline void Network::commit_send(ShardState* sh, NodeId from, NodeId to,
+inline void Network::commit_send(ShardState& sh, NodeId from, NodeId to,
                                  std::size_t edge_id, const Message& msg) {
-  if (edge_load_round_[edge_id] != round_) {
-    edge_load_round_[edge_id] = round_;
-    edge_load_[edge_id] = 0;
-  }
-  if (++edge_load_[edge_id] > cfg_.edge_capacity && faults_ == nullptr) {
-    // The per-round capacity discipline is a synchronous-schedule invariant.
-    // Under async delivery a node may legally answer several delayed
-    // arrivals at once; excess sends serialize through the link's FIFO
-    // queue (enqueue_async) instead of faulting.
-    throw_over_capacity(sh == nullptr ? outbox_ : sh->outbox, from, to, msg);
+  // The one-message-per-edge-per-round discipline is a synchronous-schedule
+  // invariant.  Under async delivery a node may legally answer several
+  // delayed arrivals at once; excess sends serialize through the link's FIFO
+  // queue (enqueue_async) instead of faulting.
+  if (faults_ == nullptr) {
+    if (edge_round_[edge_id] == round_) throw_over_capacity(sh, from, to, msg);
+    edge_round_[edge_id] = round_;
   }
   DHC_CHECK(msg.words <= kMaxWords, "message exceeds payload word limit");
 
@@ -487,41 +461,24 @@ inline void Network::commit_send(ShardState* sh, NodeId from, NodeId to,
   // shard — no atomics needed in any mode.
   if (node_stats_ == NodeStatsMode::kFull) {
     metrics_.node_messages_sent[from] += 1;
-  } else if (node_stats_ == NodeStatsMode::kStreaming) {
+  } else {
     metrics_.node_sent32[from] += 1;
   }
-  if (sh == nullptr) {
-    metrics_.messages += 1;
-    metrics_.bits += message_bits_for(msg.words, bits_per_word_);
-    if (cfg_.observer != nullptr) cfg_.observer->on_send(from, to, round_);
-    if (faults_ != nullptr) {
-      // Async regime: the receiver-side bookkeeping happens at maturation,
-      // not send, time (messages counts *sends*; received counts arrivals).
-      enqueue_async(from, to, msg);
-      return;
-    }
-    if (node_stats_ == NodeStatsMode::kFull) metrics_.node_messages_received[to] += 1;
-    if (inbox_count_[to]++ == 0) next_active_.push_back(to);
-    Message& slot = outbox_.emplace_back(msg);
-    slot.from = from;
-    slot.to = to;
-  } else {
-    sh->messages += 1;
-    sh->bits += message_bits_for(msg.words, bits_per_word_);
-    if (cfg_.observer != nullptr) sh->events.push_back({from, to, round_});
-    Message& slot = sh->outbox.emplace_back(msg);
-    slot.from = from;
-    slot.to = to;
-  }
+  sh.messages += 1;
+  sh.bits += message_bits_for(msg.words, bits_per_word_);
+  if (cfg_.observer != nullptr) sh.events.push_back({from, to, round_});
+  Message& slot = sh.outbox.emplace_back(msg);
+  slot.from = from;
+  slot.to = to;
 }
 
-inline void Network::send_from(ShardState* sh, NodeId from, NodeId to, const Message& msg) {
+inline void Network::send_from(ShardState& sh, NodeId from, NodeId to, const Message& msg) {
   const std::size_t rank = graph_->neighbor_rank(from, to);
   if (rank == graph::Graph::kNoRank) throw_non_neighbor(from, to);
   commit_send(sh, from, to, edge_offsets_[from] + rank, msg);
 }
 
-inline void Network::send_ranked(ShardState* sh, NodeId from, std::size_t rank,
+inline void Network::send_ranked(ShardState& sh, NodeId from, std::size_t rank,
                                  const Message& msg) {
   const auto nb = graph_->neighbors(from);
   DHC_REQUIRE(rank < nb.size(), "send_to_rank: rank " << rank << " out of range for node " << from);
@@ -548,11 +505,7 @@ inline void Context::send_to_rank(std::size_t rank, const Message& msg) {
 
 inline void Context::wake_in(std::uint64_t delay) {
   DHC_REQUIRE(delay >= 1, "wake_in delay must be at least 1 round");
-  if (shard_ == nullptr) {
-    net_.arm_wakeup(self_, delay);
-  } else {
-    shard_->wakeups.emplace_back(delay, self_);
-  }
+  shard_.wakeups.emplace_back(delay, self_);
 }
 
 inline support::Rng& Context::rng() { return net_.node_rng(self_); }
@@ -563,7 +516,7 @@ inline void Context::charge_memory(std::int64_t words) {
     mem += words;
     auto& peak = net_.metrics_.node_peak_memory_words[self_];
     peak = std::max(peak, mem);
-  } else if (net_.node_stats_ == NodeStatsMode::kStreaming) {
+  } else {
     auto& mem = net_.metrics_.node_mem_cur32[self_];
     mem = static_cast<std::int32_t>(mem + words);
     auto& peak = net_.metrics_.node_mem_peak32[self_];
@@ -574,7 +527,7 @@ inline void Context::charge_memory(std::int64_t words) {
 inline void Context::charge_compute(std::uint64_t ops) {
   if (net_.node_stats_ == NodeStatsMode::kFull) {
     net_.metrics_.node_compute_ops[self_] += ops;
-  } else if (net_.node_stats_ == NodeStatsMode::kStreaming) {
+  } else {
     // Saturating: compute is charged in arbitrary-size chunks.
     auto& acc = net_.metrics_.node_compute32[self_];
     const std::uint64_t next = acc + ops;

@@ -9,8 +9,8 @@
 // Determinism contract: every field the simulator reports here is a pure
 // function of (graph, seed, protocol) EXCEPT the wall-clock fields
 // (RoundTrace::wall_ns, shard_wall_ns), and every counter is additionally
-// shard-invariant (the sharded round engine reproduces the sequential
-// execution bitwise; the only shard-dependent fields are the explicitly
+// shard-invariant (the round engine reproduces the one-shard execution
+// bitwise; the only shard-dependent fields are the explicitly
 // shard-profiling ones: `sharded`, `shard_active`, `shard_wall_ns`).
 // Writers isolate those two field classes so traces can be compared bitwise
 // across repeated runs and across shard counts (trace/recorder.h).

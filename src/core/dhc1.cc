@@ -15,6 +15,10 @@ using congest::Network;
 
 namespace {
 
+/// Independent Phase-2 retries (hypernode rotation restarts with fresh
+/// randomness when a port starves; see DraParams::max_attempts).
+constexpr std::uint32_t kMaxHyperAttempts = 8;
+
 // Phase-2 message tags (base 64).
 constexpr std::uint16_t kPick = 64;          // {r}                    partition tree
 constexpr std::uint16_t kPartner = 65;       // {}                     agent → pred
@@ -537,7 +541,7 @@ class Dhc1Protocol : public congest::Protocol {
 
   void hyper_abort(Context& ctx) {
     if (hyper_done_ != 0) return;
-    if (hyper_attempt_ + 1 < cfg_.max_hyper_attempts && k_live_ >= 3) {
+    if (hyper_attempt_ + 1 < kMaxHyperAttempts && k_live_ >= 3) {
       // Retry Phase 2 with fresh randomness: everyone resets hyper state
       // and ports refill their edge lists (the DRA restart trick, one
       // level up).

@@ -46,10 +46,6 @@ struct Dhc1Config : congest::EngineOptions {
   /// roughly double the steps the plain analysis predicts).
   double hyper_step_multiplier = 32.0;
 
-  /// Independent Phase-2 retries (hypernode rotation restarts with fresh
-  /// randomness when a port starves; see DraParams::max_attempts).
-  std::uint32_t max_hyper_attempts = 8;
-
   DraParams dra;
 };
 

@@ -21,6 +21,19 @@ using graph::NodeId;
 
 namespace {
 
+/// Every node samples ceil(kSampleC·ln n) incident edges for the initial
+/// matching (clamped to the node's degree).
+constexpr double kSampleC = 4.0;
+
+/// Merge-level budget: kLevelMultiplier·ceil(log₂ n) + 32 levels before the
+/// run aborts as stalled (a level can be unproductive when the shared coins
+/// land badly or endpoint adjacencies are missing).
+constexpr double kLevelMultiplier = 8.0;
+
+/// Rotations attempted while closing the final Hamiltonian path before
+/// giving up (each succeeds with probability ≈ p).
+constexpr std::uint32_t kMaxCloseAttempts = 64;
+
 // Message tags (setup uses 1..5).
 constexpr std::uint16_t kMatchPropose = 40;  // {}: matching proposal to a lower id
 constexpr std::uint16_t kMatchAccept = 41;   // {}: proposal accepted, edge joins a path
@@ -44,7 +57,7 @@ class TurauProtocol : public congest::Protocol {
     head_know_.assign(n, kNoNode);
     seen_token_.assign(n, 0);
     max_levels_ = static_cast<std::uint64_t>(
-                      cfg_.level_multiplier *
+                      kLevelMultiplier *
                       std::ceil(std::log2(std::max<double>(n, 4.0)))) +
                   32;
   }
@@ -176,7 +189,7 @@ class TurauProtocol : public congest::Protocol {
     const auto nb = ctx.neighbors();
     if (nb.empty()) return;
     const auto want = static_cast<std::uint64_t>(
-        std::ceil(cfg_.sample_c * std::log(std::max<double>(n_, 2.0))));
+        std::ceil(kSampleC * std::log(std::max<double>(n_, 2.0))));
     const auto k = std::min<std::uint64_t>(want, nb.size());
     const auto chosen = ctx.rng().sample_distinct(nb.size(), k);
     ctx.charge_memory(static_cast<std::int64_t>(k));
@@ -400,7 +413,7 @@ class TurauProtocol : public congest::Protocol {
   /// against the rotation budget (every activation that does not close
   /// performs exactly one rotation).
   bool wake_closer(Network& net) {
-    if (close_attempts_ >= cfg_.max_close_attempts) {
+    if (close_attempts_ >= kMaxCloseAttempts) {
       failure_ =
           "closing budget exhausted after " + std::to_string(close_attempts_) + " rotations";
       return false;

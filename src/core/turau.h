@@ -6,7 +6,7 @@
 // and merges them in parallel until one Hamiltonian path remains, then
 // closes it into a cycle:
 //
-//   Sample  — every node draws ceil(sample_c·ln n) incident edges, the
+//   Sample  — every node draws ceil(kSampleC·ln n) incident edges, the
 //             sparse random subgraph the initial paths are built from,
 //   Match   — one propose/accept exchange on the sampled edges; each node
 //             proposes to one lower-id candidate and accepts at most one
@@ -36,20 +36,9 @@
 
 namespace dhc::core {
 
-struct TurauConfig : congest::EngineOptions {
-  /// Every node samples ceil(sample_c·ln n) incident edges for the initial
-  /// matching (clamped to the node's degree).
-  double sample_c = 4.0;
-
-  /// Merge-level budget: level_multiplier·ceil(log₂ n) + 32 levels before
-  /// the run aborts as stalled (a level can be unproductive when the shared
-  /// coins land badly or endpoint adjacencies are missing).
-  double level_multiplier = 8.0;
-
-  /// Rotations attempted while closing the final Hamiltonian path before
-  /// giving up (each succeeds with probability ≈ p).
-  std::uint32_t max_close_attempts = 64;
-};
+/// Turau's algorithm takes only the engine options; its sampling and budget
+/// constants live in turau.cc.
+struct TurauConfig : congest::EngineOptions {};
 
 /// Runs Turau's algorithm end to end.  On success the cycle is in the
 /// paper's per-node incident-edge form; `stats` includes "initial_paths",

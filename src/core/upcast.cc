@@ -5,6 +5,7 @@
 
 #include "congest/network.h"
 #include "congest/setup.h"
+#include "core/sequential.h"
 #include "support/atomic_stats.h"
 #include "support/flat_queue.h"
 #include "support/require.h"
@@ -18,6 +19,9 @@ using congest::Network;
 using graph::NodeId;
 
 namespace {
+
+/// Root's local solver budget.
+constexpr RotationConfig kRootSolver{};
 
 constexpr std::uint16_t kRecord = 32;  // {u, w}: sampled edge (u, w), origin u
 constexpr std::uint16_t kDown = 33;    // {w, pred, succ}: w's cycle edges
@@ -183,7 +187,7 @@ class UpcastProtocol : public congest::Protocol {
   void root_solve(Context& ctx) {
     const NodeId x = ctx.self();
     graph::Graph sampled(n_, root_edges());
-    RotationResult solved = rotation_hamiltonian_cycle(sampled, ctx.rng(), cfg_.root_solver);
+    RotationResult solved = rotation_hamiltonian_cycle(sampled, ctx.rng(), kRootSolver);
     ctx.charge_compute(solved.stats.steps);
     root_solve_steps_ = solved.stats.steps;
     if (!solved.success) {

@@ -22,7 +22,6 @@
 
 #include "congest/network.h"
 #include "core/result.h"
-#include "core/sequential.h"
 #include "graph/graph.h"
 
 namespace dhc::core {
@@ -34,9 +33,6 @@ struct UpcastConfig : congest::EngineOptions {
 
   /// Ship all incident edges instead of a sample (the CollectAll baseline).
   bool collect_all = false;
-
-  /// Root's local solver budget.
-  RotationConfig root_solver;
 };
 
 /// Runs Upcast (or CollectAll) end to end.  Stats include "root_edges",

@@ -33,14 +33,10 @@ void KMachineCost::flush_round() {
   touched_links_.clear();
 }
 
-void KMachineCost::on_send(NodeId from, NodeId to, std::uint64_t round) {
-  record(from, to, round);
-}
-
 void KMachineCost::on_events(std::span<const congest::SendEvent> events) {
   // Events arrive in global send order (shard logs are merged in shard
-  // order), so replaying them through the same per-message pricing yields
-  // bit-identical link loads and round charges as the live feed.
+  // order), so per-message pricing yields the same link loads and round
+  // charges for every shard count.
   for (const congest::SendEvent& e : events) record(e.from, e.to, e.round);
 }
 

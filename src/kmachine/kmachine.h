@@ -43,18 +43,18 @@ using graph::NodeId;
 
 /// Prices a CONGEST execution under the k-machine model.
 ///
-/// Attach as NetworkConfig::observer: sequential rounds price each message
-/// live through on_send(); sharded rounds deliver the merged per-round event
-/// log through on_events() (congest/network.h), which walks the batch in the
-/// exact global send order — the two feeds produce identical prices, pinned
-/// by kmachine_test.
+/// Attach as NetworkConfig::observer: the engine's serial merge feeds each
+/// round's shard logs through on_events() (congest/network.h) in the exact
+/// global send order, so the price is identical for every shard count,
+/// pinned by kmachine_test.
 class KMachineCost : public congest::MessageObserver {
  public:
   /// Randomly partitions nodes 0..n-1 over k machines (the model's random
   /// vertex partition); each link carries `bandwidth` messages per round.
   KMachineCost(NodeId n, std::uint32_t k, std::uint64_t bandwidth, std::uint64_t seed);
 
-  void on_send(NodeId from, NodeId to, std::uint64_t round) override;
+  /// Prices a batch of sends (one merged shard log) message by message.
+  void on_events(std::span<const congest::SendEvent> events) override;
 
   /// Attach a flight-recorder sink: every completed CONGEST round with
   /// cross-machine traffic emits one on_kround(round, busiest, charge)
@@ -66,11 +66,6 @@ class KMachineCost : public congest::MessageObserver {
   /// arrives — the last one has no successor).  Idempotent; kmachine_rounds()
   /// stays correct whether or not this ran.
   void finish() { flush_round(); }
-
-  /// Merged-event-log pricing: one virtual call per shard log instead of one
-  /// per message (the k-machine conversion rides the simulator's hottest
-  /// path, so the batch entry point matters).
-  void on_events(std::span<const congest::SendEvent> events) override;
 
   /// Which machine hosts node v.
   std::uint32_t machine_of(NodeId v) const { return machine_of_[v]; }
@@ -98,7 +93,7 @@ class KMachineCost : public congest::MessageObserver {
   std::vector<std::uint32_t> machine_of_;
 
   // Current-round link loads in a flat k×k table indexed a·k + b (a < b),
-  // with the touched cells listed for O(links-used) flushing — on_send runs
+  // with the touched cells listed for O(links-used) flushing — record runs
   // once per simulated message, so it must not pay a hashed container.
   std::vector<std::uint64_t> round_load_;
   std::vector<std::uint32_t> touched_links_;

@@ -117,9 +117,9 @@ struct Scenario {
   /// Root seed; every trial's graph/algorithm seeds are derived from it.
   std::uint64_t base_seed = 1;
   /// Per-node accounting mode for every CONGEST trial (spec key
-  /// `node_stats`: full | streaming | off).  Streaming keeps fixed-size
-  /// digests instead of the five per-node vectors — the large-n mode.
-  /// Headline metrics are identical in every mode.
+  /// `node_stats`: full | streaming).  Streaming keeps fixed-size digests
+  /// instead of the five per-node vectors — the large-n mode.  Headline
+  /// metrics are identical in both modes.
   congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
 
   /// Throws std::invalid_argument when any field is out of range (empty

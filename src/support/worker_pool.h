@@ -28,8 +28,8 @@
 // other task of the generation has finished.  Lowest-index selection keeps
 // error reporting deterministic for callers whose task order is meaningful
 // — the simulator's shard slices partition the id-sorted active set, so
-// the lowest-index shard error is exactly the error the sequential stepper
-// would have hit first.
+// the lowest-index shard error is exactly the error a one-shard round would
+// have hit first.
 #pragma once
 
 #include <atomic>

@@ -1,5 +1,5 @@
-// Reads a flight-recorder NDJSON trace (schema v1, v2, or v3, see
-// recorder.h) back into typed records for the dhc_trace tool and tests.
+// Reads a flight-recorder NDJSON trace (schema v1 to v4, see recorder.h)
+// back into typed records for the dhc_trace tool and tests.
 #pragma once
 
 #include <cstdint>

@@ -176,7 +176,7 @@ Plan plan_for(std::uint64_t seed, graph::NodeId v, std::uint64_t round, std::siz
 // Executes the plan through the real simulator, journaling every delivered
 // message and every activation *per node* (self-indexed, so sharded rounds
 // never write across nodes); the full log is flattened afterwards in
-// (round, node) order — exactly the order the sequential stepper (and the
+// (round, node) order — exactly the order a one-shard run (and the
 // reference model) emits lines in.
 class ScriptedProtocol : public Protocol {
  public:

@@ -54,8 +54,7 @@ TEST(Metrics, AccountedRoundsChargesBarriers) {
 }
 
 TEST(NodeStatsMode, ToStringParseRoundTrip) {
-  for (const NodeStatsMode mode :
-       {NodeStatsMode::kFull, NodeStatsMode::kStreaming, NodeStatsMode::kOff}) {
+  for (const NodeStatsMode mode : {NodeStatsMode::kFull, NodeStatsMode::kStreaming}) {
     EXPECT_EQ(parse_node_stats_mode(to_string(mode)), mode);
   }
   EXPECT_THROW(parse_node_stats_mode("verbose"), std::invalid_argument);
@@ -77,17 +76,6 @@ TEST(Metrics, FinalizeNodeStatsFullIsExact) {
   EXPECT_DOUBLE_EQ(m.received_summary.p99, 5.0);
   EXPECT_DOUBLE_EQ(m.peak_memory_summary.max, 50.0);
   EXPECT_DOUBLE_EQ(m.compute_summary.sum, 7.0);
-}
-
-TEST(Metrics, FinalizeNodeStatsOffKeepsZeros) {
-  Metrics m;
-  m.node_stats_mode = NodeStatsMode::kOff;
-  m.finalize_node_stats();
-  EXPECT_EQ(m.sent_summary.count, 0u);
-  EXPECT_EQ(m.received_summary.count, 0u);
-  EXPECT_EQ(m.max_node_messages_sent(), 0u);
-  EXPECT_EQ(m.max_node_peak_memory(), 0);
-  EXPECT_EQ(m.max_node_compute(), 0u);
 }
 
 }  // namespace

@@ -91,24 +91,6 @@ TEST(Network, EdgeCapacityEnforced) {
   EXPECT_THROW(net.run(p), CongestViolation);
 }
 
-TEST(Network, HigherCapacityAllowsMoreMessages) {
-  const Graph g = graph::path_graph(2);
-  NetworkConfig cfg;
-  cfg.edge_capacity = 2;
-  Network net(g, cfg);
-  LambdaProtocol p;
-  int received = 0;
-  p.on_begin = [](Context& ctx) {
-    if (ctx.self() == 0) {
-      ctx.send(1, Message::make(1));
-      ctx.send(1, Message::make(2));
-    }
-  };
-  p.on_step = [&](Context& ctx) { received += static_cast<int>(ctx.inbox().size()); };
-  net.run(p);
-  EXPECT_EQ(received, 2);
-}
-
 TEST(Network, OppositeDirectionsAreIndependentEdges) {
   const Graph g = graph::path_graph(2);
   Network net(g, {});

@@ -1,4 +1,4 @@
-// --node_stats mode equivalence: full / streaming / off must agree on every
+// --node_stats mode equivalence: full and streaming must agree on every
 // headline counter (rounds, messages, bits, barriers, phase marks) and the
 // streaming summaries must match the full-mode exact digests within the
 // sketch's published error bound.
@@ -30,17 +30,14 @@ TEST(NodeStats, HeadlineCountersIdenticalAcrossModes) {
   const graph::Graph g = instance(192, 501);
   const auto full = run_with_mode(g, NodeStatsMode::kFull);
   const auto streaming = run_with_mode(g, NodeStatsMode::kStreaming);
-  const auto off = run_with_mode(g, NodeStatsMode::kOff);
   ASSERT_TRUE(full.success) << full.failure_reason;
 
-  for (const auto* r : {&streaming, &off}) {
-    EXPECT_EQ(r->success, full.success);
-    EXPECT_EQ(r->metrics.rounds, full.metrics.rounds);
-    EXPECT_EQ(r->metrics.messages, full.metrics.messages);
-    EXPECT_EQ(r->metrics.bits, full.metrics.bits);
-    EXPECT_EQ(r->metrics.barrier_count, full.metrics.barrier_count);
-    EXPECT_EQ(r->metrics.phase_marks, full.metrics.phase_marks);
-  }
+  EXPECT_EQ(streaming.success, full.success);
+  EXPECT_EQ(streaming.metrics.rounds, full.metrics.rounds);
+  EXPECT_EQ(streaming.metrics.messages, full.metrics.messages);
+  EXPECT_EQ(streaming.metrics.bits, full.metrics.bits);
+  EXPECT_EQ(streaming.metrics.barrier_count, full.metrics.barrier_count);
+  EXPECT_EQ(streaming.metrics.phase_marks, full.metrics.phase_marks);
 }
 
 TEST(NodeStats, StreamingSummariesMatchFullWithinSketchBound) {
@@ -83,15 +80,6 @@ TEST(NodeStats, StreamingMaxMatchesFullMax) {
   EXPECT_EQ(streaming.metrics.max_node_messages_sent(), full.metrics.max_node_messages_sent());
   EXPECT_EQ(streaming.metrics.max_node_peak_memory(), full.metrics.max_node_peak_memory());
   EXPECT_EQ(streaming.metrics.max_node_compute(), full.metrics.max_node_compute());
-}
-
-TEST(NodeStats, OffModeKeepsNoPerNodeState) {
-  const graph::Graph g = instance(128, 504);
-  const auto off = run_with_mode(g, NodeStatsMode::kOff);
-  EXPECT_TRUE(off.metrics.node_messages_sent.empty());
-  EXPECT_TRUE(off.metrics.node_sent32.empty());
-  EXPECT_EQ(off.metrics.sent_summary.count, 0u);
-  EXPECT_EQ(off.metrics.node_stats_mode, NodeStatsMode::kOff);
 }
 
 TEST(NodeStats, StreamingIsShardInvariant) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,10 +80,9 @@ class JournalProtocol : public Protocol {
 /// Records the full observer event stream (order-sensitive).
 class EventRecorder : public MessageObserver {
  public:
-  void on_send(NodeId from, NodeId to, std::uint64_t round) override {
-    log_.push_back({from, to, round});
+  void on_events(std::span<const SendEvent> events) override {
+    log_.insert(log_.end(), events.begin(), events.end());
   }
-  // Deliberately no on_events override: exercises the default batch replay.
   const std::vector<SendEvent>& log() const { return log_; }
 
  private:
@@ -261,23 +261,20 @@ class ParkedWaves : public Protocol {
   bool second_phase_ = false;
 };
 
-Metrics run_parked(const Graph& g, std::uint32_t shards, std::uint64_t max_rounds,
-                   std::uint64_t arena_budget_bytes) {
+Metrics run_parked(const Graph& g, std::uint32_t shards, std::uint64_t max_rounds) {
   NetworkConfig cfg;
   cfg.seed = 3;
   cfg.shards = shards;
   cfg.shard_grain = 1;
   cfg.max_rounds = max_rounds;
-  cfg.arena_budget_bytes = arena_budget_bytes;
   Network net(g, cfg);
   ParkedWaves protocol(/*waves=*/4, /*gap=*/40);
   return net.run(protocol);
 }
 
-void expect_parked_runs_match(const Graph& g, std::uint64_t max_rounds,
-                              std::uint64_t arena_budget_bytes, const Metrics& base) {
+void expect_parked_runs_match(const Graph& g, std::uint64_t max_rounds, const Metrics& base) {
   for (const std::uint32_t shards : {2u, 4u}) {
-    const Metrics m = run_parked(g, shards, max_rounds, arena_budget_bytes);
+    const Metrics m = run_parked(g, shards, max_rounds);
     EXPECT_EQ(m.rounds, base.rounds) << "shards=" << shards;
     EXPECT_EQ(m.barrier_count, base.barrier_count) << "shards=" << shards;
     EXPECT_EQ(m.hit_round_limit, base.hit_round_limit) << "shards=" << shards;
@@ -290,30 +287,26 @@ void expect_parked_runs_match(const Graph& g, std::uint64_t max_rounds,
 TEST(ShardEngine, MailParkedInShardLogsHoldsOffQuiescence) {
   support::Rng grng(21);
   const Graph g = graph::gnp(60, 0.2, grng);
-  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{4096}}) {
-    const Metrics base = run_parked(g, 1, /*max_rounds=*/1000, budget);
-    ASSERT_FALSE(base.hit_round_limit);
-    ASSERT_EQ(base.barrier_count, 1u);
-    // Phase 0 floods in rounds 0..3 and drains in round 4, then idles to
-    // node 0's wake-up at round 40; phase 1 floods in rounds 41..44 and
-    // drains in round 45.  A flood round holds one delivered and one queued
-    // message per directed edge.
-    ASSERT_EQ(base.rounds, 45u);
-    ASSERT_EQ(base.arena_bytes_peak, 2 * g.m() * 2 * sizeof(Message));
-    expect_parked_runs_match(g, 1000, budget, base);
-  }
+  const Metrics base = run_parked(g, 1, /*max_rounds=*/1000);
+  ASSERT_FALSE(base.hit_round_limit);
+  ASSERT_EQ(base.barrier_count, 1u);
+  // Phase 0 floods in rounds 0..3 and drains in round 4, then idles to
+  // node 0's wake-up at round 40; phase 1 floods in rounds 41..44 and
+  // drains in round 45.  A flood round holds one delivered and one queued
+  // message per directed edge.
+  ASSERT_EQ(base.rounds, 45u);
+  ASSERT_EQ(base.arena_bytes_peak, 2 * g.m() * 2 * sizeof(Message));
+  expect_parked_runs_match(g, 1000, base);
 }
 
 TEST(ShardEngine, MailParkedInShardLogsAtTheRoundLimitIsLive) {
   support::Rng grng(21);
   const Graph g = graph::gnp(60, 0.2, grng);
-  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{4096}}) {
-    const Metrics base = run_parked(g, 1, /*max_rounds=*/3, budget);
-    ASSERT_TRUE(base.hit_round_limit);
-    ASSERT_TRUE(base.round_limit_live);
-    ASSERT_GT(base.arena_bytes_peak, 0u);
-    expect_parked_runs_match(g, 3, budget, base);
-  }
+  const Metrics base = run_parked(g, 1, /*max_rounds=*/3);
+  ASSERT_TRUE(base.hit_round_limit);
+  ASSERT_TRUE(base.round_limit_live);
+  ASSERT_GT(base.arena_bytes_peak, 0u);
+  expect_parked_runs_match(g, 3, base);
 }
 
 }  // namespace

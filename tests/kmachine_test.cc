@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "graph/generators.h"
@@ -12,6 +13,12 @@
 
 namespace dhc::kmachine {
 namespace {
+
+// Feeds one send to `cost` as a one-event batch.
+void send(KMachineCost& cost, NodeId from, NodeId to, std::uint64_t round) {
+  const congest::SendEvent event{from, to, round};
+  cost.on_events({&event, 1});
+}
 
 TEST(KMachineCost, PartitionCoversAllMachinesAndIsDeterministic) {
   KMachineCost a(1000, 8, 4, 42);
@@ -41,10 +48,10 @@ TEST(KMachineCost, LocalMessagesAreFree) {
       }
     }
   }
-  cost.on_send(same_a, same_b, 1);
+  send(cost, same_a, same_b, 1);
   EXPECT_EQ(cost.kmachine_rounds(), 0u);
   EXPECT_EQ(cost.local_messages(), 1u);
-  cost.on_send(cross_a, cross_b, 2);
+  send(cost, cross_a, cross_b, 2);
   EXPECT_EQ(cost.kmachine_rounds(), 1u);
   EXPECT_EQ(cost.cross_messages(), 1u);
 }
@@ -59,7 +66,7 @@ TEST(KMachineCost, BandwidthDividesLinkLoad) {
       if (cost.machine_of(x) != cost.machine_of(0)) v = x;
     }
     ASSERT_NE(v, 0u);
-    for (int i = 0; i < 6; ++i) cost.on_send(u, v, 1);
+    for (int i = 0; i < 6; ++i) send(cost, u, v, 1);
     EXPECT_EQ(cost.kmachine_rounds(), expect) << "bw=" << bw;
   }
 }
@@ -70,9 +77,9 @@ TEST(KMachineCost, RoundsAccumulateAcrossCongestRounds) {
   for (NodeId x = 1; x < 4; ++x) {
     if (cost.machine_of(x) != cost.machine_of(0)) v = x;
   }
-  cost.on_send(u, v, 1);
-  cost.on_send(u, v, 2);
-  cost.on_send(u, v, 5);
+  send(cost, u, v, 1);
+  send(cost, u, v, 2);
+  send(cost, u, v, 5);
   EXPECT_EQ(cost.kmachine_rounds(), 3u);
 }
 
@@ -91,11 +98,11 @@ TEST(KMachineCost, MidRoundReadDoesNotSplitTheRoundCharge) {
   }
   ASSERT_NE(v, 0u);
 
-  for (int i = 0; i < 2; ++i) probed.on_send(u, v, 1);
+  for (int i = 0; i < 2; ++i) send(probed, u, v, 1);
   EXPECT_EQ(probed.kmachine_rounds(), 1u);  // mid-round read: ceil(2/4)
-  for (int i = 0; i < 2; ++i) probed.on_send(u, v, 1);
+  for (int i = 0; i < 2; ++i) send(probed, u, v, 1);
 
-  for (int i = 0; i < 4; ++i) clean.on_send(u, v, 1);
+  for (int i = 0; i < 4; ++i) send(clean, u, v, 1);
 
   // 4 messages on one link in one round at bandwidth 4: exactly 1 round,
   // regardless of the mid-round read.
@@ -109,25 +116,26 @@ TEST(KMachineCost, RepeatedReadsAreIdempotent) {
   for (NodeId x = 1; x < 4; ++x) {
     if (cost.machine_of(x) != cost.machine_of(0)) v = x;
   }
-  for (int i = 0; i < 5; ++i) cost.on_send(u, v, 1);
+  for (int i = 0; i < 5; ++i) send(cost, u, v, 1);
   const auto first = cost.kmachine_rounds();
   EXPECT_EQ(cost.kmachine_rounds(), first);
   EXPECT_EQ(cost.kmachine_rounds(), first);
-  cost.on_send(u, v, 2);
+  send(cost, u, v, 2);
   EXPECT_EQ(cost.kmachine_rounds(), first + 1);
 }
 
-/// Forwards every send to the wrapped cost and immediately reads the price —
-/// the hostile consumer the pre-fix flush-on-read implementation corrupted.
+/// Forwards every send to the wrapped cost as its own one-event batch and
+/// reads the price after each — the hostile consumer the pre-fix
+/// flush-on-read implementation corrupted.
 class ProbingTap : public congest::MessageObserver {
  public:
   explicit ProbingTap(KMachineCost& inner) : inner_(inner) {}
-  void on_send(NodeId from, NodeId to, std::uint64_t round) override {
-    inner_.on_send(from, to, round);
-    last_probe_ = inner_.kmachine_rounds();
+  void on_events(std::span<const congest::SendEvent> events) override {
+    for (const congest::SendEvent& e : events) {
+      inner_.on_events({&e, 1});
+      last_probe_ = inner_.kmachine_rounds();
+    }
   }
-  // on_events is left defaulted: the base class replays batches through
-  // on_send, so sharded rounds are probed per message too.
   std::uint64_t last_probe() const { return last_probe_; }
 
  private:
@@ -167,12 +175,12 @@ TEST(KMachineCost, RejectsDegenerateParameters) {
   EXPECT_THROW(KMachineCost(10, 2, 0, 1), std::invalid_argument);
 }
 
-// The k-machine conversion consumes the simulator's merged event log on
-// sharded rounds (on_events) and the live on_send feed on sequential ones.
-// Both feeds must price the execution identically: converted rounds, the
-// cross/local split, and the busiest-link peak all depend on per-round link
-// load *sequences*, so this pin fails if the merged log ever reorders or
-// drops an event relative to sequential send order.
+// The k-machine conversion consumes the simulator's merged shard logs, one
+// batch per non-empty shard log.  Every shard count must price the
+// execution identically: converted rounds, the cross/local split, and the
+// busiest-link peak all depend on per-round link load *sequences*, so this
+// pin fails if the merge ever reorders or drops an event relative to the
+// one-shard send order.
 TEST(ConvertDhc2, LiveAndMergedEventLogPricingIdentical) {
   struct Priced {
     bool success;
@@ -216,7 +224,8 @@ TEST(ConvertDhc2, LiveAndMergedEventLogPricingIdentical) {
 }
 
 TEST(KMachineCost, BatchEventsMatchSingleSends) {
-  // Unit-level pin of on_events == repeated on_send on a hand-built stream.
+  // Unit-level pin: per-round batches price exactly like one-event spans on
+  // a hand-built stream.
   KMachineCost a(32, 4, 2, 9);
   KMachineCost b(32, 4, 2, 9);
   std::vector<congest::SendEvent> events;
@@ -229,7 +238,7 @@ TEST(KMachineCost, BatchEventsMatchSingleSends) {
     if (to == from) to = (to + 1) % 32;
     events.push_back({from, to, round});
   }
-  for (const auto& e : events) a.on_send(e.from, e.to, e.round);
+  for (const auto& e : events) send(a, e.from, e.to, e.round);
   // Deliver to b in per-round batches (as the merged shard logs would).
   std::size_t i = 0;
   while (i < events.size()) {
@@ -270,10 +279,9 @@ Priced priced_run(const CongestAlgorithm& algo, const graph::Graph& g, std::uint
 }
 
 // The acceptance pin: for every registered algorithm the full price —
-// converted rounds above all — is bitwise identical between a live
-// sequential run (shards = 1) and a sharded run (shards = 4, the CI
-// DHC_SHARDS matrix value), with the shard grain forced down so even sparse
-// rounds exercise the merged event log.  Also end-to-end sanity: a
+// converted rounds above all — is bitwise identical between a one-shard run
+// and a sharded run (shards = 4, the CI DHC_SHARDS matrix value), with the
+// shard grain forced down so even sparse rounds step on the pool.  Also end-to-end sanity: a
 // successful run's cycle verifies against the input graph.
 TEST(RunKMachine, ReportShardInvariantForEveryAlgorithm) {
   support::Rng rng(31);

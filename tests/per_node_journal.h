@@ -5,8 +5,8 @@
 // to a shared log stream; instead each node appends (round, line) records
 // to its own journal (self-indexed — the same discipline production
 // protocols follow), and flatten() k-way-merges them afterwards in
-// (round asc, node asc) order — exactly the order the sequential stepper
-// (and the fuzz suite's reference model) emits lines in.  Keeping this
+// (round asc, node asc) order — exactly the order a one-shard run (and the
+// fuzz suite's reference model) emits lines in.  Keeping this
 // merge in one place means both suites pin the same flattening semantics.
 #pragma once
 

@@ -53,7 +53,7 @@
 //   --trace=DIR       write one flight-recorder NDJSON trace per CONGEST
 //                     trial into DIR (created if missing); paths land in the
 //                     JSON artifact as "trace_files".  Inspect with dhc_trace.
-//   --node_stats=STR  per-node accounting: full (default) | streaming | off;
+//   --node_stats=STR  per-node accounting: full (default) | streaming;
 //                     streaming keeps fixed-size quantile digests instead of
 //                     per-node vectors (the large-n mode)
 //   --track_rss=BOOL  record stats["rss_peak_kb"] (process peak RSS at each
