@@ -5,15 +5,9 @@
 // directly; the "fully distributed" property is an experiment (EXP-L1), not
 // an assertion.
 //
-// Per-node accounting has two modes (NodeStatsMode).  kFull keeps the five
-// classic 64-bit per-node vectors (40 B/node) — the mode every golden and
-// differential test pins.  kStreaming keeps compact 32-bit accumulators
-// (16 B/node), skips the received-messages vector entirely (one fewer
-// receiver-side cache-line touch per delivered message), and reports the
-// per-node distributions as streaming summaries (count/sum/max +
-// p50/p95/p99 through a support::QuantileSketch) — the million-node mode.
-// Both modes leave the headline counters (rounds, messages, bits, barriers,
-// phase marks) bitwise identical.
+// Per-node accounting is five exact 64-bit vectors (40 B/node): messages
+// sent and received, current and peak registered memory, and compute
+// charge.  Every golden and differential test pins them.
 #pragma once
 
 #include <cstdint>
@@ -22,24 +16,6 @@
 #include <vector>
 
 namespace dhc::congest {
-
-/// How much per-node accounting a run keeps (see file comment).
-enum class NodeStatsMode : std::uint8_t { kFull, kStreaming };
-
-/// Streaming digest of one per-node distribution (messages sent, peak
-/// memory, compute ops), computed by Metrics::finalize_node_stats().  Exact
-/// in kFull mode; in kStreaming the quantiles come from a fixed-size
-/// QuantileSketch and carry its relative error bound (DESIGN.md §7).
-struct NodeStatSummary {
-  std::uint64_t count = 0;  ///< Nodes contributing (0 = not tracked).
-  double sum = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-
-  friend bool operator==(const NodeStatSummary&, const NodeStatSummary&) = default;
-};
 
 /// Per-run cost measurements, populated by Network::run.
 struct Metrics {
@@ -97,40 +73,19 @@ struct Metrics {
   /// polling (the PR 7 drop-stall signature).
   bool round_limit_live = false;
 
-  /// Which per-node accounting mode populated this run (set by the Network
-  /// from its config; determines which vectors below are non-empty).
-  NodeStatsMode node_stats_mode = NodeStatsMode::kFull;
-
   /// Per-node counts of messages sent (load-balance experiments).
-  /// kFull mode only.
   std::vector<std::uint64_t> node_messages_sent;
 
-  /// Per-node counts of messages received.  kFull mode only.
+  /// Per-node counts of messages received.
   std::vector<std::uint64_t> node_messages_received;
 
   /// Per-node registered memory, in words, current and peak (charged
-  /// explicitly by protocols at allocation sites).  kFull mode only.
+  /// explicitly by protocols at allocation sites).
   std::vector<std::int64_t> node_memory_words;
   std::vector<std::int64_t> node_peak_memory_words;
 
-  /// Per-node local computation charge (unit: "operations").  kFull only.
+  /// Per-node local computation charge (unit: "operations").
   std::vector<std::uint64_t> node_compute_ops;
-
-  /// kStreaming-mode compact accumulators (16 B/node vs kFull's 40; the
-  /// received distribution is intentionally not tracked).  Sent counts and
-  /// compute charges saturate at 2^32−1 per node — a bound no realistic run
-  /// approaches, since it would imply > 4·10^9 total messages.
-  std::vector<std::uint32_t> node_sent32;
-  std::vector<std::int32_t> node_mem_cur32;
-  std::vector<std::int32_t> node_mem_peak32;
-  std::vector<std::uint32_t> node_compute32;
-
-  /// Per-node distribution digests, filled by finalize_node_stats() at the
-  /// end of Network::run.  received_summary has count 0 in kStreaming mode.
-  NodeStatSummary sent_summary;
-  NodeStatSummary received_summary;
-  NodeStatSummary peak_memory_summary;
-  NodeStatSummary compute_summary;
 
   /// Named phase boundaries: (phase label, first round of the phase).
   std::vector<std::pair<std::string, std::uint64_t>> phase_marks;
@@ -143,9 +98,9 @@ struct Metrics {
   /// number for paired comparisons across reliability modes.
   std::uint64_t payload_messages() const { return messages - retransmits - acks_sent; }
 
-  /// Maximum over nodes of messages sent (congestion/load balance).  Reads
-  /// whichever representation the mode kept (vector, compact vector, or the
-  /// finalized summary when both are empty).
+  /// Maximum over nodes of messages sent (congestion/load balance).  The
+  /// three max_node_* helpers return 0 when their vector is empty (runs
+  /// that never touched the engine, such as oracle trials).
   std::uint64_t max_node_messages_sent() const;
 
   /// Maximum over nodes of peak registered memory.
@@ -153,11 +108,6 @@ struct Metrics {
 
   /// Maximum over nodes of compute charge.
   std::uint64_t max_node_compute() const;
-
-  /// Computes the four NodeStatSummary digests from the mode's vectors:
-  /// exact (sorted nearest-rank) in kFull, sketch-backed in kStreaming.
-  /// Called by Network::run; idempotent.
-  void finalize_node_stats();
 
   /// Total rounds spent under the label, summed over *every* span carrying
   /// it (protocols re-enter phases — DHC2 marks "merge" once per level; a
@@ -167,10 +117,5 @@ struct Metrics {
   /// Field-for-field equality (shard-invariance checks).
   friend bool operator==(const Metrics&, const Metrics&) = default;
 };
-
-std::string to_string(NodeStatsMode mode);
-
-/// Parses full | streaming; throws std::invalid_argument otherwise.
-NodeStatsMode parse_node_stats_mode(const std::string& s);
 
 }  // namespace dhc::congest

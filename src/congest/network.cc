@@ -5,11 +5,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
-#include <type_traits>
 
 #include "congest/fault_plan.h"
 #include "congest/reliable.h"
-#include "support/quantile_sketch.h"
 #include "support/require.h"
 
 namespace dhc::congest {
@@ -28,6 +26,11 @@ std::uint32_t env_or(const char* name, std::uint32_t fallback) {
   return static_cast<std::uint32_t>(parsed);
 }
 
+template <class T>
+T max_or_zero(const std::vector<T>& values) {
+  return values.empty() ? T{0} : *std::max_element(values.begin(), values.end());
+}
+
 }  // namespace
 
 std::uint32_t default_shards() { return env_or("DHC_SHARDS", 1); }
@@ -39,104 +42,11 @@ std::uint64_t message_bits(const Message& msg, NodeId n) {
   return message_bits_for(msg.words, id_bits);
 }
 
-std::uint64_t Metrics::max_node_messages_sent() const {
-  std::uint64_t best = 0;
-  for (const auto x : node_messages_sent) best = std::max(best, x);
-  for (const auto x : node_sent32) best = std::max<std::uint64_t>(best, x);
-  if (node_messages_sent.empty() && node_sent32.empty()) {
-    best = static_cast<std::uint64_t>(sent_summary.max);
-  }
-  return best;
-}
+std::uint64_t Metrics::max_node_messages_sent() const { return max_or_zero(node_messages_sent); }
 
-std::int64_t Metrics::max_node_peak_memory() const {
-  std::int64_t best = 0;
-  for (const auto x : node_peak_memory_words) best = std::max(best, x);
-  for (const auto x : node_mem_peak32) best = std::max<std::int64_t>(best, x);
-  if (node_peak_memory_words.empty() && node_mem_peak32.empty()) {
-    best = static_cast<std::int64_t>(peak_memory_summary.max);
-  }
-  return best;
-}
+std::int64_t Metrics::max_node_peak_memory() const { return max_or_zero(node_peak_memory_words); }
 
-std::uint64_t Metrics::max_node_compute() const {
-  std::uint64_t best = 0;
-  for (const auto x : node_compute_ops) best = std::max(best, x);
-  for (const auto x : node_compute32) best = std::max<std::uint64_t>(best, x);
-  if (node_compute_ops.empty() && node_compute32.empty()) {
-    best = static_cast<std::uint64_t>(compute_summary.max);
-  }
-  return best;
-}
-
-namespace {
-
-// Exact digest of a per-node vector: nearest-rank quantiles over a sorted
-// copy (kFull mode; runs once at the end of a run).
-template <class T>
-NodeStatSummary exact_summary(const std::vector<T>& values) {
-  NodeStatSummary s;
-  s.count = values.size();
-  if (values.empty()) return s;
-  std::vector<T> sorted(values);
-  std::sort(sorted.begin(), sorted.end());
-  double sum = 0.0;
-  for (const T v : sorted) sum += static_cast<double>(v);
-  s.sum = sum;
-  s.max = static_cast<double>(sorted.back());
-  const auto at = [&](double q) {
-    const auto rank = static_cast<std::size_t>(
-        std::min<double>(static_cast<double>(sorted.size() - 1),
-                         q * static_cast<double>(sorted.size() - 1) + 0.5));
-    return static_cast<double>(sorted[rank]);
-  };
-  s.p50 = at(0.50);
-  s.p95 = at(0.95);
-  s.p99 = at(0.99);
-  return s;
-}
-
-// Sketch-backed digest (kStreaming mode): count/sum/max exact, quantiles
-// within support::QuantileSketch::relative_error().
-template <class T>
-NodeStatSummary sketch_summary(const std::vector<T>& values) {
-  NodeStatSummary s;
-  s.count = values.size();
-  if (values.empty()) return s;
-  support::QuantileSketch sketch;
-  for (const T v : values) {
-    if constexpr (std::is_signed_v<T>) {
-      sketch.add(v < 0 ? 0 : static_cast<std::uint64_t>(v));
-    } else {
-      sketch.add(v);
-    }
-  }
-  s.sum = sketch.sum();
-  s.max = static_cast<double>(sketch.max());
-  s.p50 = sketch.quantile(0.50);
-  s.p95 = sketch.quantile(0.95);
-  s.p99 = sketch.quantile(0.99);
-  return s;
-}
-
-}  // namespace
-
-void Metrics::finalize_node_stats() {
-  switch (node_stats_mode) {
-    case NodeStatsMode::kFull:
-      sent_summary = exact_summary(node_messages_sent);
-      received_summary = exact_summary(node_messages_received);
-      peak_memory_summary = exact_summary(node_peak_memory_words);
-      compute_summary = exact_summary(node_compute_ops);
-      return;
-    case NodeStatsMode::kStreaming:
-      sent_summary = sketch_summary(node_sent32);
-      received_summary = NodeStatSummary{};  // intentionally not tracked
-      peak_memory_summary = sketch_summary(node_mem_peak32);
-      compute_summary = sketch_summary(node_compute32);
-      return;
-  }
-}
+std::uint64_t Metrics::max_node_compute() const { return max_or_zero(node_compute_ops); }
 
 std::uint64_t Metrics::phase_rounds(const std::string& label) const {
   // A label may mark several spans (DHC2 re-marks "merge" every level); each
@@ -152,22 +62,6 @@ std::uint64_t Metrics::phase_rounds(const std::string& label) const {
   return total;
 }
 
-std::string to_string(NodeStatsMode mode) {
-  switch (mode) {
-    case NodeStatsMode::kFull:
-      return "full";
-    case NodeStatsMode::kStreaming:
-      return "streaming";
-  }
-  return "full";
-}
-
-NodeStatsMode parse_node_stats_mode(const std::string& s) {
-  if (s == "full") return NodeStatsMode::kFull;
-  if (s == "streaming") return NodeStatsMode::kStreaming;
-  throw std::invalid_argument("unknown node_stats mode '" + s + "' (expected full|streaming)");
-}
-
 // ---------------------------------------------------------------------------
 // Network
 // ---------------------------------------------------------------------------
@@ -176,7 +70,6 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
   shards_ = cfg_.shards != 0 ? cfg_.shards : default_shards();
   shard_grain_ = cfg_.shard_grain != 0 ? cfg_.shard_grain : env_or("DHC_SHARD_GRAIN", 32);
   shard_state_.resize(shards_);
-  node_stats_ = cfg_.node_stats;
   const std::size_t n = g.n();
   bits_per_word_ = std::max<std::uint64_t>(
       1, std::bit_width(std::uint64_t{n > 0 ? n - 1 : 0}));
@@ -376,7 +269,7 @@ void Network::mature_async_messages() {
   // synchronous scatter.
   std::vector<Message>& staged = shard_state_[0].outbox;  // emptied by the last merge
   const auto deliver_one = [&](const Message& m) {
-    if (node_stats_ == NodeStatsMode::kFull) metrics_.node_messages_received[m.to] += 1;
+    metrics_.node_messages_received[m.to] += 1;
     if (inbox_count_[m.to]++ == 0) next_active_.push_back(m.to);
     staged.push_back(m);
     ++parked_;
@@ -616,9 +509,8 @@ void Network::merge_shard_logs() {
       for (const Message& m : sh.outbox) enqueue_async(m.from, m.to, m);
       sh.outbox.clear();
     } else {
-      const bool full = node_stats_ == NodeStatsMode::kFull;
       for (const Message& m : sh.outbox) {
-        if (full) metrics_.node_messages_received[m.to] += 1;
+        metrics_.node_messages_received[m.to] += 1;
         if (inbox_count_[m.to]++ == 0) next_active_.push_back(m.to);
       }
       parked_ += sh.outbox.size();
@@ -674,22 +566,11 @@ void Network::emit_round_trace(const TraceCounters& before, std::uint64_t wakeup
 Metrics Network::run(Protocol& protocol) {
   const std::size_t n = graph_->n();
   metrics_ = Metrics{};
-  metrics_.node_stats_mode = node_stats_;
-  switch (node_stats_) {
-    case NodeStatsMode::kFull:
-      metrics_.node_messages_sent.assign(n, 0);
-      metrics_.node_messages_received.assign(n, 0);
-      metrics_.node_memory_words.assign(n, 0);
-      metrics_.node_peak_memory_words.assign(n, 0);
-      metrics_.node_compute_ops.assign(n, 0);
-      break;
-    case NodeStatsMode::kStreaming:
-      metrics_.node_sent32.assign(n, 0);
-      metrics_.node_mem_cur32.assign(n, 0);
-      metrics_.node_mem_peak32.assign(n, 0);
-      metrics_.node_compute32.assign(n, 0);
-      break;
-  }
+  metrics_.node_messages_sent.assign(n, 0);
+  metrics_.node_messages_received.assign(n, 0);
+  metrics_.node_memory_words.assign(n, 0);
+  metrics_.node_peak_memory_words.assign(n, 0);
+  metrics_.node_compute_ops.assign(n, 0);
   round_ = 0;
   const bool tracing = cfg_.trace != nullptr;
 
@@ -779,7 +660,6 @@ Metrics Network::run(Protocol& protocol) {
   }
 
   metrics_.rounds = round_;
-  metrics_.finalize_node_stats();
   return metrics_;
 }
 

@@ -129,11 +129,6 @@ struct EngineOptions {
   /// wall clocks are read only when a sink is attached, so tracing off has
   /// zero timing overhead.
   TraceSink* trace = nullptr;
-
-  /// Per-node accounting mode (congest/metrics.h).  kFull is the classic
-  /// exact-vector mode every golden test pins; kStreaming trades exact
-  /// per-node vectors for compact accumulators + quantile summaries.
-  NodeStatsMode node_stats = NodeStatsMode::kFull;
 };
 
 struct NetworkConfig : EngineOptions {
@@ -360,7 +355,6 @@ class Network {
   NetworkConfig cfg_;
   std::uint32_t shards_ = 1;       // resolved shard count
   std::uint32_t shard_grain_ = 32;  // resolved min active nodes per shard
-  NodeStatsMode node_stats_ = NodeStatsMode::kFull;  // hoisted out of cfg_ for the send path
   std::uint64_t round_ = 0;
   std::uint64_t bits_per_word_ = 1;  // ⌈log₂ n⌉, hoisted out of the send path
 
@@ -456,14 +450,9 @@ inline void Network::commit_send(ShardState& sh, NodeId from, NodeId to,
   }
   DHC_CHECK(msg.words <= kMaxWords, "message exceeds payload word limit");
 
-  // Sender-side accounting: node_messages_sent[from] (and its compact
-  // streaming twin) is owned by the sending node, hence by exactly one
-  // shard — no atomics needed in any mode.
-  if (node_stats_ == NodeStatsMode::kFull) {
-    metrics_.node_messages_sent[from] += 1;
-  } else {
-    metrics_.node_sent32[from] += 1;
-  }
+  // Sender-side accounting: node_messages_sent[from] is owned by the
+  // sending node, hence by exactly one shard — no atomics needed.
+  metrics_.node_messages_sent[from] += 1;
   sh.messages += 1;
   sh.bits += message_bits_for(msg.words, bits_per_word_);
   if (cfg_.observer != nullptr) sh.events.push_back({from, to, round_});
@@ -511,28 +500,14 @@ inline void Context::wake_in(std::uint64_t delay) {
 inline support::Rng& Context::rng() { return net_.node_rng(self_); }
 
 inline void Context::charge_memory(std::int64_t words) {
-  if (net_.node_stats_ == NodeStatsMode::kFull) {
-    auto& mem = net_.metrics_.node_memory_words[self_];
-    mem += words;
-    auto& peak = net_.metrics_.node_peak_memory_words[self_];
-    peak = std::max(peak, mem);
-  } else {
-    auto& mem = net_.metrics_.node_mem_cur32[self_];
-    mem = static_cast<std::int32_t>(mem + words);
-    auto& peak = net_.metrics_.node_mem_peak32[self_];
-    peak = std::max(peak, mem);
-  }
+  auto& mem = net_.metrics_.node_memory_words[self_];
+  mem += words;
+  auto& peak = net_.metrics_.node_peak_memory_words[self_];
+  peak = std::max(peak, mem);
 }
 
 inline void Context::charge_compute(std::uint64_t ops) {
-  if (net_.node_stats_ == NodeStatsMode::kFull) {
-    net_.metrics_.node_compute_ops[self_] += ops;
-  } else {
-    // Saturating: compute is charged in arbitrary-size chunks.
-    auto& acc = net_.metrics_.node_compute32[self_];
-    const std::uint64_t next = acc + ops;
-    acc = next > 0xffffffffull ? 0xffffffffu : static_cast<std::uint32_t>(next);
-  }
+  net_.metrics_.node_compute_ops[self_] += ops;
 }
 
 }  // namespace dhc::congest

@@ -118,7 +118,7 @@ using CongestAlgorithm = std::function<core::Result(
 
 /// Adapters for the registered CONGEST algorithms.  Each captures a base
 /// config and overwrites its engine options' backend-controlled knobs
-/// (observer, shards, faults) per call; trace and node_stats stay the base's.
+/// (observer, shards, faults) per call; trace stays the base's.
 CongestAlgorithm dra_algorithm(core::DraConfig base = {});
 CongestAlgorithm dhc1_algorithm(core::Dhc1Config base = {});
 CongestAlgorithm dhc2_algorithm(core::Dhc2Config base = {});

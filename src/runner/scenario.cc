@@ -358,8 +358,6 @@ Scenario scenario_from_spec(const std::map<std::string, std::string>& spec) {
       s.seeds = static_cast<std::uint64_t>(parse_int(key, value));
     } else if (key == "seed") {
       s.base_seed = static_cast<std::uint64_t>(parse_int(key, value));
-    } else if (key == "node_stats") {
-      s.node_stats = congest::parse_node_stats_mode(value);
     } else if (key == "delay_dist") {
       s.delay_dists = split_commas(key, value);
     } else if (key == "drop_prob") {
@@ -449,9 +447,6 @@ Scenario scenario_from_cli(const support::Cli& cli) {
   if (cli.has("bandwidth")) s.bandwidth = cli.get_int("bandwidth", s.bandwidth);
   if (cli.has("seeds")) s.seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 0));
   if (cli.has("seed")) s.base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 0));
-  if (cli.has("node_stats")) {
-    s.node_stats = congest::parse_node_stats_mode(cli.get_string("node_stats", ""));
-  }
   if (cli.has("delay_dist")) {
     s.delay_dists = split_commas("delay_dist", cli.get_string("delay_dist", ""));
   }
@@ -473,7 +468,7 @@ Scenario scenario_from_cli(const support::Cli& cli) {
 std::set<std::string> scenario_flags() {
   return {"scenario", "name", "algo", "algos", "model", "family", "sizes", "deltas",
           "cs", "merges", "machines", "k", "k_list", "bandwidth", "seeds", "seed",
-          "node_stats", "delay_dist", "drop_prob", "crash_schedule", "reliability", "rto",
+          "delay_dist", "drop_prob", "crash_schedule", "reliability", "rto",
           "max_rounds"};
 }
 

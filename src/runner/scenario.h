@@ -116,11 +116,6 @@ struct Scenario {
   std::uint64_t seeds = 5;
   /// Root seed; every trial's graph/algorithm seeds are derived from it.
   std::uint64_t base_seed = 1;
-  /// Per-node accounting mode for every CONGEST trial (spec key
-  /// `node_stats`: full | streaming).  Streaming keeps fixed-size digests
-  /// instead of the five per-node vectors — the large-n mode.  Headline
-  /// metrics are identical in both modes.
-  congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
 
   /// Throws std::invalid_argument when any field is out of range (empty
   /// lists, δ outside (0, 1], n < 4, seeds == 0, ...).
@@ -171,9 +166,8 @@ std::vector<TrialConfig> expand(const Scenario& s);
 /// Builds a Scenario from a key=value map (the shared core of file and CLI
 /// parsing).  Recognized keys: name, algos (or algo), model, family, sizes,
 /// deltas, cs, merges, machines (or k_list), bandwidth, seeds, seed,
-/// node_stats, delay_dist, drop_prob, crash_schedule, reliability, rto,
-/// max_rounds.  Unknown keys and malformed values throw
-/// std::invalid_argument.
+/// delay_dist, drop_prob, crash_schedule, reliability, rto, max_rounds.
+/// Unknown keys and malformed values throw std::invalid_argument.
 Scenario scenario_from_spec(const std::map<std::string, std::string>& spec);
 
 /// Parses a scenario file: one `key = value` per line, `#` comments and

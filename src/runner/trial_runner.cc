@@ -23,6 +23,7 @@
 #include "graph/hamiltonian.h"
 #include "kmachine/kmachine.h"
 #include "support/rng.h"
+#include "support/stats.h"
 #include "support/worker_pool.h"
 #include "trace/recorder.h"
 
@@ -88,14 +89,17 @@ void fill_from_result(TrialResult& out, core::Result& r) {
     if (out.stats.contains(key)) continue;  // repeated labels: one summed entry
     out.stats[key] = static_cast<double>(r.metrics.phase_rounds(label));
   }
-  if (r.metrics.sent_summary.count > 0) {
-    out.stats["node_sent_p50"] = r.metrics.sent_summary.p50;
-    out.stats["node_sent_p95"] = r.metrics.sent_summary.p95;
-    out.stats["node_sent_p99"] = r.metrics.sent_summary.p99;
+  const auto& sent = r.metrics.node_messages_sent;
+  if (!sent.empty()) {
+    std::vector<double> sorted(sent.begin(), sent.end());
+    std::sort(sorted.begin(), sorted.end());
+    out.stats["node_sent_p50"] = support::nearest_rank(sorted, 0.50);
+    out.stats["node_sent_p95"] = support::nearest_rank(sorted, 0.95);
+    out.stats["node_sent_p99"] = support::nearest_rank(sorted, 0.99);
   }
   // Logical in-flight message high-water mark (congest/metrics.h): a count of
   // messages × sizeof(Message), never allocator capacity, so it is bitwise
-  // identical across thread counts, shard counts, and arena budgets.
+  // identical across thread counts and shard counts.
   out.stats["arena_bytes_peak"] = static_cast<double>(r.metrics.arena_bytes_peak);
 }
 
@@ -206,7 +210,6 @@ void run_congest(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
   engine.shards = opt.shards;
   engine.faults = plan ? &*plan : nullptr;
   engine.trace = rec;
-  engine.node_stats = opt.node_stats;
   core::Result r = congest_algorithm_for(t, engine)(g, t.algo_seed, engine.observer,
                                                     engine.shards, engine.faults);
   if (cost) cost->finish();
@@ -276,7 +279,6 @@ TrialResult run_trial_unchecked(const TrialConfig& t, const TrialOptions& opt) {
     meta.machines = t.machines;
     meta.bandwidth = t.bandwidth;
     meta.shards = opt.shards != 0 ? opt.shards : congest::default_shards();
-    meta.node_stats = congest::to_string(opt.node_stats);
     meta.config_index = t.config_index;
     meta.trial_index = t.trial_index;
     recorder.set_meta(std::move(meta));
@@ -390,7 +392,6 @@ std::vector<TrialResult> run_trials(const std::vector<TrialConfig>& trials,
   topt.verify = opt.verify;
   topt.shards = par.shards;
   topt.trace_dir = opt.trace_dir;
-  topt.node_stats = opt.node_stats;
   topt.track_rss = opt.track_rss;
   support::WorkerPool pool(par.threads);
   pool.run(trials.size(), [&](std::size_t i) {

@@ -76,9 +76,6 @@ struct RunnerOptions {
   /// directory must exist.  Trace counters are deterministic and
   /// shard-invariant; only wall fields vary between runs.
   std::string trace_dir{};
-  /// Per-node accounting mode for every CONGEST trial (see
-  /// congest::NodeStatsMode).  Headline metrics are mode-invariant.
-  congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
   /// Record stats["rss_peak_kb"] (the process peak RSS, getrusage, at the
   /// end of each trial) on every result.  Off by default: the value is
   /// machine- and scheduling-dependent, so it must never enter artifacts
@@ -92,7 +89,6 @@ struct TrialOptions {
   /// 0 = the DHC_SHARDS environment default.
   std::uint32_t shards = 0;
   std::string trace_dir;
-  congest::NodeStatsMode node_stats = congest::NodeStatsMode::kFull;
   /// See RunnerOptions::track_rss.
   bool track_rss = false;
 };

@@ -40,6 +40,14 @@ double quantile(std::vector<double> values, double q) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
+double nearest_rank(const std::vector<double>& sorted, double q) {
+  DHC_REQUIRE(!sorted.empty(), "nearest_rank of empty sample");
+  DHC_REQUIRE(q >= 0.0 && q <= 1.0, "quantile level " << q << " outside [0,1]");
+  const auto rank =
+      static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[rank];
+}
+
 Summary summarize(std::vector<double> values) {
   DHC_REQUIRE(!values.empty(), "summarize of empty sample");
   OnlineStats online;

@@ -1,8 +1,9 @@
 // Small statistics toolkit for the benchmark harness and tests.
 //
-// The experiments in EXPERIMENTS.md report medians/means over seeds, check
-// concentration claims (Lemmas 4, 7, 11–15), and fit log-log slopes against
-// the theorems' round bounds; this header provides exactly those operations.
+// The paper-claim tests (tests/paper_claims_test.cc) report medians/means
+// over seeds, check concentration claims (Lemmas 4, 7, 11–15), and fit
+// log-log slopes against the theorems' round bounds; this header provides
+// exactly those operations.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +48,11 @@ Summary summarize(std::vector<double> values);
 
 /// Quantile by linear interpolation of the sorted sample; q in [0, 1].
 double quantile(std::vector<double> values, double q);
+
+/// Nearest-rank quantile of an already sorted sample: the element at index
+/// ⌊q·(n−1) + 0.5⌋; q in [0, 1].  Never interpolates, so the result is
+/// always one of the sample's values.
+double nearest_rank(const std::vector<double>& sorted, double q);
 
 /// Least-squares fit of y = a + b*x; returns {a, b}.
 struct LinearFit {

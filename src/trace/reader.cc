@@ -122,8 +122,8 @@ TraceData read_trace(std::istream& in) {
                                   ": unknown record type \"" + type + '"');
     }
   }
-  if (data.schema < 1 || data.schema > 4) {
-    throw std::invalid_argument("trace stream missing a schema-1/2/3/4 meta line");
+  if (data.schema != 4) {
+    throw std::invalid_argument("trace stream missing a schema-4 meta line");
   }
   return data;
 }

@@ -1,4 +1,4 @@
-// Reads a flight-recorder NDJSON trace (schema v1 to v4, see recorder.h)
+// Reads a flight-recorder NDJSON trace (schema v4, see recorder.h)
 // back into typed records for the dhc_trace tool and tests.
 #pragma once
 
@@ -27,9 +27,9 @@ struct TraceData {
   std::vector<RoundRecord> rounds;        ///< phase index resolved vs `phases`
   std::vector<BarrierRecord> barriers;
   std::vector<KRoundRecord> krounds;
-  std::vector<FaultRecord> faults;        ///< schema v2+ async runs only
-  std::vector<RetransRecord> retrans;     ///< schema v3 reliability=ack runs only
-  std::vector<RejoinRecord> rejoins;      ///< schema v3 crash-window runs only
+  std::vector<FaultRecord> faults;        ///< async runs only
+  std::vector<RetransRecord> retrans;     ///< reliability=ack runs only
+  std::vector<RejoinRecord> rejoins;      ///< crash-window runs only
   std::vector<PhaseSpan> spans;
 
   std::map<std::string, std::uint64_t> summary;

@@ -82,17 +82,17 @@ void TraceRecorder::on_rejoin(std::uint64_t round, std::uint64_t nodes) {
 
 void TraceRecorder::finalize(const congest::Metrics& metrics) {
   metrics_ = metrics;
-  // Only the totals, summaries, and phase marks are needed for the summary
-  // line; drop the per-node vectors so the recorder stays small.
+  // The summary line needs only the totals, the phase marks, and three
+  // per-node maxima; take the maxima, then drop the per-node vectors so the
+  // recorder stays small.
+  max_node_sent_ = metrics.max_node_messages_sent();
+  max_node_peak_memory_ = metrics.max_node_peak_memory();
+  max_node_compute_ = metrics.max_node_compute();
   metrics_.node_messages_sent.clear();
   metrics_.node_messages_received.clear();
   metrics_.node_memory_words.clear();
   metrics_.node_peak_memory_words.clear();
   metrics_.node_compute_ops.clear();
-  metrics_.node_sent32.clear();
-  metrics_.node_mem_cur32.clear();
-  metrics_.node_mem_peak32.clear();
-  metrics_.node_compute32.clear();
 
   // Some protocols only mark their first phase after a few setup rounds
   // (standalone DRA wakes and builds its BFS tree before marking "dra"); a
@@ -157,7 +157,6 @@ void TraceRecorder::write_ndjson(std::ostream& os, const TraceWriteOptions& opt)
      << ",\"delta\":" << fmt_double(meta_.delta) << ",\"c\":" << fmt_double(meta_.c)
      << ",\"graph_seed\":" << meta_.graph_seed << ",\"algo_seed\":" << meta_.algo_seed
      << ",\"machines\":" << meta_.machines << ",\"bandwidth\":" << meta_.bandwidth
-     << ",\"node_stats\":\"" << json_escape(meta_.node_stats) << '"'
      << ",\"config_index\":" << meta_.config_index
      << ",\"trial_index\":" << meta_.trial_index;
   if (opt.shard_profile) os << ",\"shards\":" << meta_.shards;
@@ -254,9 +253,9 @@ void TraceRecorder::write_ndjson(std::ostream& os, const TraceWriteOptions& opt)
      << ",\"barrier_cost_rounds\":" << metrics_.barrier_cost_rounds
      << ",\"accounted_rounds\":" << metrics_.accounted_rounds()
      << ",\"hit_round_limit\":" << (metrics_.hit_round_limit ? 1 : 0)
-     << ",\"max_node_sent\":" << metrics_.max_node_messages_sent()
-     << ",\"max_node_peak_memory\":" << metrics_.max_node_peak_memory()
-     << ",\"max_node_compute\":" << metrics_.max_node_compute()
+     << ",\"max_node_sent\":" << max_node_sent_
+     << ",\"max_node_peak_memory\":" << max_node_peak_memory_
+     << ",\"max_node_compute\":" << max_node_compute_
      << ",\"arena_bytes_peak\":" << metrics_.arena_bytes_peak;
   if (!krounds_.empty()) os << ",\"kmachine_rounds\":" << kround_charge_total_;
   if (metrics_.delayed_messages != 0 || metrics_.dropped_messages != 0 ||

@@ -2,12 +2,11 @@
 // as NDJSON (newline-delimited JSON, one record per line — streamable,
 // grep-able, diff-able).
 //
-// Schema v3 (DESIGN.md §7; v2 = v1 plus the "fault" line type for async
-// runs; v3 = v2 plus the "retrans" and "rejoin" line types for the reliable
-// overlay and crash-window recovery).  Line types, in file order:
+// Schema v4 (DESIGN.md §7), the only schema the reader accepts; traces are
+// regenerated, not archived.  Line types, in file order:
 //
-//   meta     run identity: algo/model/family/n/m/seeds/…, node_stats mode,
-//            and (shard-profile fields) the shard count
+//   meta     run identity: algo/model/family/n/m/seeds/…, and (shard-profile
+//            field) the shard count
 //   phase    a phase mark: {"type":"phase","label":L,"from":R}
 //   round    one executed round: r, phase label, active, sent, bits, wake,
 //            wall_ns, and on sharded rounds the per-shard profile arrays
@@ -57,7 +56,6 @@ struct TraceMeta {
   std::uint32_t machines = 0;
   std::uint64_t bandwidth = 0;
   std::uint32_t shards = 1;            ///< shard-profile field
-  std::string node_stats = "full";
   std::uint64_t config_index = 0;
   std::uint64_t trial_index = 0;
 };
@@ -191,6 +189,9 @@ class TraceRecorder final : public congest::TraceSink {
   std::vector<PhaseSpan> spans_;
   std::uint64_t kround_charge_total_ = 0;
   congest::Metrics metrics_;  // node vectors cleared at finalize (totals only)
+  std::uint64_t max_node_sent_ = 0;  // taken at finalize, before the clear
+  std::int64_t max_node_peak_memory_ = 0;
+  std::uint64_t max_node_compute_ = 0;
   bool finalized_ = false;
   bool success_ = false;
   std::string failure_reason_;

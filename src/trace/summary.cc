@@ -67,8 +67,7 @@ void print_summary(const TraceData& data, std::ostream& os) {
      << " family=" << data.meta_str("family");
   os << " n=" << data.meta_u64("n") << " m=" << data.meta_u64("m")
      << " graph_seed=" << data.meta_u64("graph_seed")
-     << " algo_seed=" << data.meta_u64("algo_seed")
-     << " node_stats=" << data.meta_str("node_stats") << '\n';
+     << " algo_seed=" << data.meta_u64("algo_seed") << '\n';
   if (data.has_outcome) {
     os << "outcome: " << (data.success ? "success" : "FAILURE");
     if (!data.failure_reason.empty()) os << " (" << data.failure_reason << ')';

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 namespace dhc::congest {
 namespace {
 
@@ -53,29 +51,18 @@ TEST(Metrics, AccountedRoundsChargesBarriers) {
   EXPECT_EQ(m.accounted_rounds(), 172u);
 }
 
-TEST(NodeStatsMode, ToStringParseRoundTrip) {
-  for (const NodeStatsMode mode : {NodeStatsMode::kFull, NodeStatsMode::kStreaming}) {
-    EXPECT_EQ(parse_node_stats_mode(to_string(mode)), mode);
-  }
-  EXPECT_THROW(parse_node_stats_mode("verbose"), std::invalid_argument);
-}
-
-TEST(Metrics, FinalizeNodeStatsFullIsExact) {
+TEST(Metrics, MaxNodeHelpersAreZeroOnEmptyVectors) {
+  // Oracle trials never run the engine, so their vectors stay empty.
   Metrics m;
-  m.node_stats_mode = NodeStatsMode::kFull;
+  EXPECT_EQ(m.max_node_messages_sent(), 0u);
+  EXPECT_EQ(m.max_node_peak_memory(), 0);
+  EXPECT_EQ(m.max_node_compute(), 0u);
   m.node_messages_sent = {1, 2, 3, 4, 100};
-  m.node_messages_received = {5, 5, 5, 5, 5};
-  m.node_peak_memory_words = {10, 20, 30, 40, 50};
-  m.node_compute_ops = {0, 0, 0, 0, 7};
-  m.finalize_node_stats();
-  EXPECT_EQ(m.sent_summary.count, 5u);
-  EXPECT_DOUBLE_EQ(m.sent_summary.sum, 110.0);
-  EXPECT_DOUBLE_EQ(m.sent_summary.max, 100.0);
-  EXPECT_DOUBLE_EQ(m.sent_summary.p50, 3.0);
-  EXPECT_EQ(m.received_summary.count, 5u);
-  EXPECT_DOUBLE_EQ(m.received_summary.p99, 5.0);
-  EXPECT_DOUBLE_EQ(m.peak_memory_summary.max, 50.0);
-  EXPECT_DOUBLE_EQ(m.compute_summary.sum, 7.0);
+  m.node_peak_memory_words = {10, 50, 30, 40, 20};
+  m.node_compute_ops = {0, 7, 0, 0, 0};
+  EXPECT_EQ(m.max_node_messages_sent(), 100u);
+  EXPECT_EQ(m.max_node_peak_memory(), 50);
+  EXPECT_EQ(m.max_node_compute(), 7u);
 }
 
 }  // namespace

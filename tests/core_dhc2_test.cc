@@ -183,7 +183,8 @@ class Dhc2Sweep : public ::testing::TestWithParam<std::tuple<std::uint64_t, std:
 TEST_P(Dhc2Sweep, VerifiedCycleAcrossSeedsAndColors) {
   const auto [seed, colors] = GetParam();
   // Keep expected partition size near 64 so in-partition degree stays in
-  // the rotation algorithm's working regime (see EXPERIMENTS.md, EXP-P1).
+  // the rotation algorithm's working regime (see EXP-P1 in
+  // tests/paper_claims_test.cc).
   const auto n = static_cast<graph::NodeId>(64 * colors);
   const Graph g = make_gnp(n, 0.35, seed * 1000 + colors);
   const auto r = run_dhc2(g, seed, colors_cfg(colors));

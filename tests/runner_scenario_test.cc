@@ -320,6 +320,7 @@ TEST_F(ScenarioFileTest, RejectsMalformedFiles) {
   EXPECT_THROW(scenario_from_file(write_file("= 3\n")), std::invalid_argument);
   EXPECT_THROW(scenario_from_file(write_file("seeds = 3\nseeds = 4\n")), std::invalid_argument);
   EXPECT_THROW(scenario_from_file(write_file("frobnicate = yes\n")), std::invalid_argument);
+  EXPECT_THROW(scenario_from_file(write_file("node_stats = full\n")), std::invalid_argument);
 }
 
 TEST(ScenarioFromCli, FlagsOverrideDefaults) {
@@ -360,6 +361,8 @@ TEST(ScenarioFromCli, ScenarioFlagsAcceptAliasesAndRejectTypos) {
   EXPECT_NO_THROW(support::Cli(5, argv).reject_unknown(scenario_flags()));
   const char* typo[] = {"prog", "--sizez=64"};
   EXPECT_THROW(support::Cli(2, typo).reject_unknown(scenario_flags()), std::invalid_argument);
+  const char* retired[] = {"prog", "--node_stats=full"};
+  EXPECT_THROW(support::Cli(2, retired).reject_unknown(scenario_flags()), std::invalid_argument);
 }
 
 // The workload scenarios under bench/scenarios/ (DHC_BENCH_DIR is the bench/
@@ -392,7 +395,7 @@ TEST(BenchScenarios, EveryGoldenHasAScenarioAndEveryFormerPresetExists) {
     EXPECT_TRUE(names.contains(entry.path().stem().string())) << entry.path();
   }
   for (const char* preset : {"comparison", "comparison-1k", "dhc2-grid", "kmachine-sweep",
-                             "mem-probe-full", "mem-probe-streaming", "fault-sweep",
+                             "mem-probe", "fault-sweep",
                              "mem-flatten", "perf-smoke"}) {
     EXPECT_TRUE(names.contains(preset)) << preset;
   }

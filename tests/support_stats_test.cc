@@ -63,6 +63,22 @@ TEST(Quantile, RejectsEmptyAndBadLevels) {
   EXPECT_THROW(quantile({1.0}, 1.1), std::invalid_argument);
 }
 
+TEST(NearestRank, NeverInterpolates) {
+  // Index ⌊q·(n−1) + 0.5⌋ of the sorted sample: the rule behind the
+  // runner's node_sent_p50/p95/p99 columns.
+  const std::vector<double> sorted{1.0, 2.0, 3.0, 4.0, 100.0};
+  EXPECT_DOUBLE_EQ(nearest_rank(sorted, 0.50), 3.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(sorted, 0.95), 100.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(sorted, 0.99), 100.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(sorted, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(sorted, 1.0), 100.0);
+}
+
+TEST(NearestRank, RejectsEmptyAndBadLevels) {
+  EXPECT_THROW(nearest_rank({}, 0.5), std::invalid_argument);
+  EXPECT_THROW(nearest_rank({1.0}, 1.1), std::invalid_argument);
+}
+
 TEST(Summarize, FullSummary) {
   const auto s = summarize({1.0, 2.0, 3.0, 4.0, 5.0});
   EXPECT_EQ(s.count, 5u);

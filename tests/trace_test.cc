@@ -15,6 +15,7 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,7 @@ std::string golden_projection(std::uint32_t shards) {
   return os.str();
 }
 
-TEST(TraceGolden, SchemaV3IsPinned) {
+TEST(TraceGolden, SchemaV4IsPinned) {
   const std::string got = golden_projection(/*shards=*/1);
   const std::string path = DHC_TRACE_GOLDEN_FILE;
 
@@ -335,6 +336,25 @@ TEST(TraceReader, SeedsSurviveExactly) {
   const TraceData data = read_trace(ss);
   EXPECT_EQ(data.meta_u64("graph_seed"), 2443007606088161615ull);
   EXPECT_EQ(data.meta_u64("algo_seed"), 18446744073709551557ull);
+}
+
+TEST(TraceReader, RejectsEveryOtherSchema) {
+  // Traces are regenerated, not archived: the reader takes only the schema
+  // the recorder writes.
+  TraceRecorder rec;
+  rec.set_meta(meta_for("dhc2", 8, 28, 1));
+  rec.finalize(congest::Metrics{});
+  std::ostringstream os;
+  rec.write_ndjson(os);
+  const std::string v4 = os.str();
+  const std::string key = "\"schema\":4";
+  ASSERT_NE(v4.find(key), std::string::npos);
+  for (const char* other : {"\"schema\":3", "\"schema\":5"}) {
+    std::string text = v4;
+    text.replace(text.find(key), key.size(), other);
+    std::istringstream in(text);
+    EXPECT_THROW(read_trace(in), std::invalid_argument) << other;
+  }
 }
 
 TEST(TraceSummary, PhaseRoundsSumToMetricsRounds) {

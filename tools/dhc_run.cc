@@ -53,9 +53,6 @@
 //   --trace=DIR       write one flight-recorder NDJSON trace per CONGEST
 //                     trial into DIR (created if missing); paths land in the
 //                     JSON artifact as "trace_files".  Inspect with dhc_trace.
-//   --node_stats=STR  per-node accounting: full (default) | streaming;
-//                     streaming keeps fixed-size quantile digests instead of
-//                     per-node vectors (the large-n mode)
 //   --track_rss=BOOL  record stats["rss_peak_kb"] (process peak RSS at each
 //                     trial's end) on every result (default false — the value
 //                     is machine-dependent, so artifacts that must be
@@ -131,7 +128,6 @@ int main(int argc, char** argv) {
     opt.threads = cli.has("threads") ? checked_unsigned(cli, "threads", 1 << 20) : 1;
     opt.verify = cli.get_bool("verify", true);
     opt.shards = checked_unsigned(cli, "shards", 1 << 20);
-    opt.node_stats = scenario.node_stats;
     opt.track_rss = cli.get_bool("track_rss", false);
     if (cli.has("trace")) {
       opt.trace_dir = cli.get_string("trace", "");
