@@ -6,10 +6,13 @@
 #include <ostream>
 #include <set>
 
+#include "support/json.h"
 #include "support/require.h"
 #include "support/stats.h"
 
 namespace dhc::runner {
+
+using support::json_escape;
 
 namespace {
 
@@ -37,24 +40,6 @@ std::string fmt_num(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out.push_back('\\');
-      out.push_back(ch);
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-      out += buf;
-    } else {
-      out.push_back(ch);
-    }
-  }
-  return out;
 }
 
 void write_metric_json(std::ostream& os, const char* name, const MetricSummary& m) {

@@ -1,10 +1,11 @@
 #include "runner/scenario.h"
 
+#include <array>
 #include <bit>
 #include <fstream>
 #include <initializer_list>
-#include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "congest/fault_plan.h"
 #include "support/require.h"
@@ -49,42 +50,45 @@ std::string to_string(core::MergeStrategy s) {
   return s == core::MergeStrategy::kMinForward ? "minforward" : "fullqueue";
 }
 
+namespace {
+
+/// The value whose to_string is `s`, out of `all`; the one spelling.
+template <class E, std::size_t N>
+E parse_enum(const char* what, const std::string& s, const std::array<E, N>& all) {
+  std::string expected;
+  for (const E e : all) {
+    if (to_string(e) == s) return e;
+    if (!expected.empty()) expected += '|';
+    expected += to_string(e);
+  }
+  throw std::invalid_argument(std::string("unknown ") + what + " '" + s + "' (expected " +
+                              expected + ")");
+}
+
+}  // namespace
+
 Algorithm parse_algorithm(const std::string& s) {
-  if (s == "sequential" || s == "seq" || s == "rotation") return Algorithm::kSequential;
-  if (s == "dra") return Algorithm::kDra;
-  if (s == "dhc1") return Algorithm::kDhc1;
-  if (s == "dhc2") return Algorithm::kDhc2;
-  if (s == "upcast") return Algorithm::kUpcast;
-  if (s == "collect-all" || s == "collectall") return Algorithm::kCollectAll;
-  if (s == "turau") return Algorithm::kTurau;
-  if (s == "cre") return Algorithm::kCre;
-  throw std::invalid_argument("unknown algorithm '" + s +
-                              "' (expected sequential|dra|dhc1|dhc2|upcast|collect-all|"
-                              "turau|cre)");
+  return parse_enum("algorithm", s,
+                    std::array{Algorithm::kSequential, Algorithm::kDra, Algorithm::kDhc1,
+                               Algorithm::kDhc2, Algorithm::kUpcast, Algorithm::kCollectAll,
+                               Algorithm::kTurau, Algorithm::kCre});
 }
 
 ExecutionModel parse_execution_model(const std::string& s) {
-  if (s == "congest") return ExecutionModel::kCongest;
-  if (s == "kmachine" || s == "k-machine") return ExecutionModel::kKMachine;
-  if (s == "async") return ExecutionModel::kAsync;
-  throw std::invalid_argument("unknown execution model '" + s +
-                              "' (expected congest|kmachine|async)");
+  return parse_enum("execution model", s,
+                    std::array{ExecutionModel::kCongest, ExecutionModel::kKMachine,
+                               ExecutionModel::kAsync});
 }
 
 GraphFamily parse_graph_family(const std::string& s) {
-  if (s == "gnp") return GraphFamily::kGnp;
-  if (s == "gnm") return GraphFamily::kGnm;
-  if (s == "regular") return GraphFamily::kRegular;
-  if (s == "powerlaw" || s == "power-law" || s == "chung-lu") return GraphFamily::kPowerlaw;
-  throw std::invalid_argument("unknown graph family '" + s +
-                              "' (expected gnp|gnm|regular|powerlaw)");
+  return parse_enum("graph family", s,
+                    std::array{GraphFamily::kGnp, GraphFamily::kGnm, GraphFamily::kRegular,
+                               GraphFamily::kPowerlaw});
 }
 
 core::MergeStrategy parse_merge_strategy(const std::string& s) {
-  if (s == "minforward" || s == "min-forward") return core::MergeStrategy::kMinForward;
-  if (s == "fullqueue" || s == "full-queue") return core::MergeStrategy::kFullQueue;
-  throw std::invalid_argument("unknown merge strategy '" + s +
-                              "' (expected minforward|fullqueue)");
+  return parse_enum("merge strategy", s,
+                    std::array{core::MergeStrategy::kMinForward, core::MergeStrategy::kFullQueue});
 }
 
 void Scenario::validate() const {
@@ -176,7 +180,7 @@ std::vector<TrialConfig> expand(const Scenario& s) {
   // with cell, so their seeds are unchanged; a multi-k sweep necessarily
   // renumbers the seeds of any algorithms listed after it.
   std::size_t seed_group = 0;
-  static const std::vector<std::int64_t> kNoMachines = {0};
+  static const std::vector<std::uint32_t> kNoMachines = {0};
   static const std::vector<core::MergeStrategy> kDefaultMerge = {
       core::MergeStrategy::kMinForward};
   static const std::vector<std::string> kNoFaultSpec = {"none"};
@@ -212,12 +216,12 @@ std::vector<TrialConfig> expand(const Scenario& s) {
                                             : (async ? ExecutionModel::kAsync
                                                      : ExecutionModel::kCongest);
                         tc.family = s.family;
-                        tc.n = static_cast<graph::NodeId>(size);
+                        tc.n = size;
                         tc.delta = delta;
                         tc.c = c;
                         tc.merge = merge;
-                        tc.machines = static_cast<std::uint32_t>(k);
-                        tc.bandwidth = kmachine ? static_cast<std::uint64_t>(s.bandwidth) : 0;
+                        tc.machines = k;
+                        tc.bandwidth = kmachine ? s.bandwidth : 0;
                         tc.delay_dist = delay_dist;
                         tc.drop_prob = drop_prob;
                         tc.crash_schedule = crash_schedule;
@@ -263,55 +267,70 @@ std::vector<TrialConfig> expand(const Scenario& s) {
 
 namespace {
 
-std::vector<std::string> split_commas(const std::string& key, const std::string& value) {
-  if (value.empty()) throw std::invalid_argument("scenario key '" + key + "' has an empty value");
-  std::vector<std::string> parts;
-  std::istringstream is(value);
-  std::string part;
-  while (std::getline(is, part, ',')) {
-    if (part.empty()) {
-      throw std::invalid_argument("scenario key '" + key + "' has an empty list element in '" +
-                                  value + "'");
-    }
-    parts.push_back(part);
-  }
-  return parts;
-}
-
-std::int64_t parse_int(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("scenario key '" + key + "' expects an integer, got '" + value +
-                                "'");
+/// One value, parsed strictly into the type of the field it lands in.
+template <class T>
+T parse_value(const std::string& what, const std::string& text) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return text;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return support::parse_number(what, text);
+  } else if constexpr (std::is_same_v<T, Algorithm>) {
+    return parse_algorithm(text);
+  } else if constexpr (std::is_same_v<T, ExecutionModel>) {
+    return parse_execution_model(text);
+  } else if constexpr (std::is_same_v<T, GraphFamily>) {
+    return parse_graph_family(text);
+  } else if constexpr (std::is_same_v<T, core::MergeStrategy>) {
+    return parse_merge_strategy(text);
+  } else {
+    return support::parse_integer<T>(what, text);
   }
 }
 
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("scenario key '" + key + "' expects a number, got '" + value +
-                                "'");
+template <class T>
+void assign(T& field, const std::string& what, const std::string& text) {
+  field = parse_value<T>(what, text);
+}
+
+/// A list field takes a comma-separated value.
+template <class T>
+void assign(std::vector<T>& field, const std::string& what, const std::string& text) {
+  field.clear();
+  for (const auto& part : support::split_list(what, text)) {
+    field.push_back(parse_value<T>(what, part));
   }
 }
 
-std::vector<std::int64_t> parse_int_list(const std::string& key, const std::string& value) {
-  std::vector<std::int64_t> out;
-  for (const auto& part : split_commas(key, value)) out.push_back(parse_int(key, part));
-  return out;
+using Setter = void (*)(Scenario&, const std::string& what, const std::string& text);
+
+template <auto Field>
+void set(Scenario& s, const std::string& what, const std::string& text) {
+  assign(s.*Field, what, text);
 }
 
-std::vector<double> parse_double_list(const std::string& key, const std::string& value) {
-  std::vector<double> out;
-  for (const auto& part : split_commas(key, value)) out.push_back(parse_double(key, part));
-  return out;
+/// Every spec key and the field it sets: the whole scenario grammar.
+const std::map<std::string, Setter>& spec_keys() {
+  static const std::map<std::string, Setter> keys = {
+      {"name", &set<&Scenario::name>},
+      {"algos", &set<&Scenario::algos>},
+      {"model", &set<&Scenario::model>},
+      {"family", &set<&Scenario::family>},
+      {"sizes", &set<&Scenario::sizes>},
+      {"deltas", &set<&Scenario::deltas>},
+      {"cs", &set<&Scenario::cs>},
+      {"merges", &set<&Scenario::merges>},
+      {"machines", &set<&Scenario::machines>},
+      {"bandwidth", &set<&Scenario::bandwidth>},
+      {"seeds", &set<&Scenario::seeds>},
+      {"seed", &set<&Scenario::base_seed>},
+      {"delay_dist", &set<&Scenario::delay_dists>},
+      {"drop_prob", &set<&Scenario::drop_probs>},
+      {"crash_schedule", &set<&Scenario::crash_schedules>},
+      {"reliability", &set<&Scenario::reliabilities>},
+      {"rto", &set<&Scenario::rto>},
+      {"max_rounds", &set<&Scenario::max_rounds>},
+  };
+  return keys;
 }
 
 std::string trim(const std::string& s) {
@@ -321,64 +340,8 @@ std::string trim(const std::string& s) {
   return s.substr(first, last - first + 1);
 }
 
-}  // namespace
-
-Scenario scenario_from_spec(const std::map<std::string, std::string>& spec) {
-  if (spec.contains("machines") && spec.contains("k_list")) {
-    throw std::invalid_argument("scenario keys 'machines' and 'k_list' are aliases; "
-                                "use only one");
-  }
-  Scenario s;
-  for (const auto& [key, value] : spec) {
-    if (key == "name") {
-      s.name = value;
-    } else if (key == "algo" || key == "algos") {
-      s.algos.clear();
-      for (const auto& part : split_commas(key, value)) s.algos.push_back(parse_algorithm(part));
-    } else if (key == "model") {
-      s.model = parse_execution_model(value);
-    } else if (key == "family") {
-      s.family = parse_graph_family(value);
-    } else if (key == "sizes") {
-      s.sizes = parse_int_list(key, value);
-    } else if (key == "deltas") {
-      s.deltas = parse_double_list(key, value);
-    } else if (key == "cs") {
-      s.cs = parse_double_list(key, value);
-    } else if (key == "merges") {
-      s.merges.clear();
-      for (const auto& part : split_commas(key, value)) {
-        s.merges.push_back(parse_merge_strategy(part));
-      }
-    } else if (key == "machines" || key == "k_list") {
-      s.machines = parse_int_list(key, value);
-    } else if (key == "bandwidth") {
-      s.bandwidth = parse_int(key, value);
-    } else if (key == "seeds") {
-      s.seeds = static_cast<std::uint64_t>(parse_int(key, value));
-    } else if (key == "seed") {
-      s.base_seed = static_cast<std::uint64_t>(parse_int(key, value));
-    } else if (key == "delay_dist") {
-      s.delay_dists = split_commas(key, value);
-    } else if (key == "drop_prob") {
-      s.drop_probs = parse_double_list(key, value);
-    } else if (key == "crash_schedule") {
-      s.crash_schedules = split_commas(key, value);
-    } else if (key == "reliability") {
-      s.reliabilities = split_commas(key, value);
-    } else if (key == "rto") {
-      s.rto = value;
-    } else if (key == "max_rounds") {
-      s.max_rounds = static_cast<std::uint64_t>(parse_int(key, value));
-    } else {
-      throw std::invalid_argument("unknown scenario key '" + key + "'");
-    }
-  }
-  s.validate();
-  return s;
-}
-
-Scenario scenario_from_file(const std::string& path) {
+/// The key/value map of a scenario file, duplicate keys rejected.
+std::map<std::string, std::string> read_spec_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::invalid_argument("cannot open scenario file '" + path + "'");
   std::map<std::string, std::string> spec;
@@ -400,76 +363,44 @@ Scenario scenario_from_file(const std::string& path) {
     if (key.empty()) {
       throw std::invalid_argument(path + ":" + std::to_string(lineno) + ": empty key");
     }
-    if (spec.contains(key)) {
+    if (!spec.emplace(key, value).second) {
       throw std::invalid_argument(path + ":" + std::to_string(lineno) + ": duplicate key '" +
                                   key + "'");
     }
-    spec[key] = value;
   }
-  return scenario_from_spec(spec);
+  return spec;
 }
 
-Scenario scenario_from_cli(const support::Cli& cli) {
+}  // namespace
+
+Scenario scenario_from_spec(const std::map<std::string, std::string>& spec) {
   Scenario s;
-  if (cli.has("scenario")) s = scenario_from_file(cli.get_string("scenario", ""));
-  s.name = cli.get_string("name", s.name);
-  for (const char* key : {"algo", "algos"}) {
-    if (!cli.has(key)) continue;
-    s.algos.clear();
-    for (const auto& part : split_commas(key, cli.get_string(key, ""))) {
-      s.algos.push_back(parse_algorithm(part));
-    }
+  for (const auto& [key, value] : spec) {
+    const auto it = spec_keys().find(key);
+    if (it == spec_keys().end()) throw std::invalid_argument("unknown scenario key '" + key + "'");
+    it->second(s, "scenario key '" + key + "'", value);
   }
-  if (cli.has("model")) s.model = parse_execution_model(cli.get_string("model", ""));
-  if (cli.has("family")) s.family = parse_graph_family(cli.get_string("family", ""));
-  if (cli.has("sizes")) s.sizes = cli.get_int_list("sizes", {});
-  if (cli.has("deltas")) s.deltas = cli.get_double_list("deltas", {});
-  if (cli.has("cs")) s.cs = cli.get_double_list("cs", {});
-  if (cli.has("merges")) {
-    s.merges.clear();
-    for (const auto& part : split_commas("merges", cli.get_string("merges", ""))) {
-      s.merges.push_back(parse_merge_strategy(part));
-    }
-  }
-  {
-    // --machines / --k / --k_list are aliases; more than one is ambiguous.
-    const char* seen = nullptr;
-    for (const char* key : {"machines", "k", "k_list"}) {
-      if (!cli.has(key)) continue;
-      if (seen != nullptr) {
-        throw std::invalid_argument(std::string("flags --") + seen + " and --" + key +
-                                    " are aliases; pass only one");
-      }
-      seen = key;
-      s.machines = cli.get_int_list(key, {});
-    }
-  }
-  if (cli.has("bandwidth")) s.bandwidth = cli.get_int("bandwidth", s.bandwidth);
-  if (cli.has("seeds")) s.seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 0));
-  if (cli.has("seed")) s.base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 0));
-  if (cli.has("delay_dist")) {
-    s.delay_dists = split_commas("delay_dist", cli.get_string("delay_dist", ""));
-  }
-  if (cli.has("drop_prob")) s.drop_probs = cli.get_double_list("drop_prob", {});
-  if (cli.has("max_rounds")) {
-    s.max_rounds = static_cast<std::uint64_t>(cli.get_int("max_rounds", 0));
-  }
-  if (cli.has("crash_schedule")) {
-    s.crash_schedules = split_commas("crash_schedule", cli.get_string("crash_schedule", ""));
-  }
-  if (cli.has("reliability")) {
-    s.reliabilities = split_commas("reliability", cli.get_string("reliability", ""));
-  }
-  if (cli.has("rto")) s.rto = cli.get_string("rto", s.rto);
   s.validate();
   return s;
 }
 
+Scenario scenario_from_file(const std::string& path) {
+  return scenario_from_spec(read_spec_file(path));
+}
+
+Scenario scenario_from_cli(const support::Cli& cli) {
+  std::map<std::string, std::string> spec;
+  if (cli.has("scenario")) spec = read_spec_file(cli.get_string("scenario", ""));
+  for (const auto& [key, setter] : spec_keys()) {
+    if (cli.has(key)) spec[key] = cli.get_string(key, "");
+  }
+  return scenario_from_spec(spec);
+}
+
 std::set<std::string> scenario_flags() {
-  return {"scenario", "name", "algo", "algos", "model", "family", "sizes", "deltas",
-          "cs", "merges", "machines", "k", "k_list", "bandwidth", "seeds", "seed",
-          "delay_dist", "drop_prob", "crash_schedule", "reliability", "rto",
-          "max_rounds"};
+  std::set<std::string> flags = {"scenario"};
+  for (const auto& [key, setter] : spec_keys()) flags.insert(key);
+  return flags;
 }
 
 }  // namespace dhc::runner

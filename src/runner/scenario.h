@@ -8,8 +8,10 @@
 // function of its TrialConfig, which is what lets TrialRunner execute them
 // on any number of threads with bitwise-identical results.
 //
-// Scenarios are parsed from --key=value flags (scenario_from_cli) or from a
-// key=value scenario file (scenario_from_file); malformed specs throw
+// Scenarios are parsed from a key=value scenario file (scenario_from_file),
+// from --key=value flags (scenario_from_cli), or both; every route builds
+// one key/value map and parses it once (scenario_from_spec), so the same
+// key and value mean the same thing everywhere.  Malformed specs throw
 // std::invalid_argument, never half-parse.
 #pragma once
 
@@ -64,7 +66,7 @@ std::string to_string(ExecutionModel m);
 std::string to_string(GraphFamily f);
 std::string to_string(core::MergeStrategy s);
 
-/// Parse the spellings accepted in flags and scenario files; throw
+/// Parse the one spelling of each value, the one to_string prints; throw
 /// std::invalid_argument on anything else.
 Algorithm parse_algorithm(const std::string& s);
 ExecutionModel parse_execution_model(const std::string& s);
@@ -82,15 +84,15 @@ struct Scenario {
   /// backend and `machines` multiplies every cell.
   ExecutionModel model = ExecutionModel::kCongest;
   GraphFamily family = GraphFamily::kGnp;
-  std::vector<std::int64_t> sizes = {512};
+  std::vector<graph::NodeId> sizes = {512};
   std::vector<double> deltas = {0.5};
   std::vector<double> cs = {2.5};
   std::vector<core::MergeStrategy> merges = {core::MergeStrategy::kMinForward};
-  /// Machine counts for the k-machine sweep (spec keys `machines` or
-  /// `k_list`): every algorithm under model = kmachine.
-  std::vector<std::int64_t> machines = {8};
+  /// Machine counts for the k-machine sweep (spec key `machines`): every
+  /// algorithm under model = kmachine.
+  std::vector<std::uint32_t> machines = {8};
   /// Per-link bandwidth (messages/round) for the k-machine pricing.
-  std::int64_t bandwidth = 32;
+  std::uint64_t bandwidth = 32;
   /// Async fault axes (model = async only; congest/fault_plan.h spec
   /// grammar).  Each list is a sweep axis multiplying every cell; the
   /// defaults are the no-fault singletons, so non-async scenarios expand to
@@ -120,6 +122,8 @@ struct Scenario {
   /// Throws std::invalid_argument when any field is out of range (empty
   /// lists, δ outside (0, 1], n < 4, seeds == 0, ...).
   void validate() const;
+
+  bool operator==(const Scenario&) const = default;
 };
 
 /// One executable trial: a configuration cell plus a trial index and the
@@ -163,11 +167,13 @@ struct TrialConfig {
 /// differing only in k price the *same* underlying execution.
 std::vector<TrialConfig> expand(const Scenario& s);
 
-/// Builds a Scenario from a key=value map (the shared core of file and CLI
-/// parsing).  Recognized keys: name, algos (or algo), model, family, sizes,
-/// deltas, cs, merges, machines (or k_list), bandwidth, seeds, seed,
-/// delay_dist, drop_prob, crash_schedule, reliability, rto, max_rounds.
-/// Unknown keys and malformed values throw std::invalid_argument.
+/// Builds a Scenario from a key=value map (the one parser behind files and
+/// flags).  Recognized keys: name, algos, model, family, sizes, deltas, cs,
+/// merges, machines, bandwidth, seeds, seed, delay_dist, drop_prob,
+/// crash_schedule, reliability, rto, max_rounds.  List values are
+/// comma-separated; every value must parse whole into its field's type.
+/// Unknown keys and malformed or out-of-range values throw
+/// std::invalid_argument.
 Scenario scenario_from_spec(const std::map<std::string, std::string>& spec);
 
 /// Parses a scenario file: one `key = value` per line, `#` comments and
@@ -175,14 +181,13 @@ Scenario scenario_from_spec(const std::map<std::string, std::string>& spec);
 /// malformed content.
 Scenario scenario_from_file(const std::string& path);
 
-/// Builds a Scenario from command-line flags.  When --scenario=FILE is
-/// present the file provides the baseline and any other flags override it;
-/// otherwise defaults are used.  Flag names match the spec keys, with
-/// --algo/--algos and --seed/--seeds both accepted.
+/// Builds a Scenario from command-line flags: the --scenario=FILE map (if
+/// given), overlaid with every flag that names a spec key, parsed once by
+/// scenario_from_spec.
 Scenario scenario_from_cli(const support::Cli& cli);
 
-/// Every flag scenario_from_cli reads: the spec keys plus --scenario and the
-/// --k alias.  Drivers add their own flags and pass the union to
+/// Every flag scenario_from_cli reads: the spec keys plus --scenario.
+/// Drivers add their own flags and pass the union to
 /// support::Cli::reject_unknown.
 std::set<std::string> scenario_flags();
 

@@ -190,7 +190,7 @@ kmachine::CongestAlgorithm congest_algorithm_for(const TrialConfig& t,
 // model = congest attaches neither.  Each attachment adds its own stats
 // columns, read from the solver's Metrics and the attachment itself.
 void run_congest(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
-                 const TrialOptions& opt, trace::TraceRecorder* rec) {
+                 const RunnerOptions& opt, trace::TraceRecorder* rec) {
   std::optional<kmachine::KMachineCost> cost;
   if (t.model == ExecutionModel::kKMachine) {
     cost.emplace(g.n(), t.machines, t.bandwidth, /*partition seed=*/t.algo_seed);
@@ -249,7 +249,7 @@ void run_congest(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
   if (out.success && opt.verify) apply_verdict(out, graph::verify_cycle_incidence(g, r.cycle));
 }
 
-TrialResult run_trial_unchecked(const TrialConfig& t, const TrialOptions& opt) {
+TrialResult run_trial_unchecked(const TrialConfig& t, const RunnerOptions& opt) {
   TrialResult out;
   const graph::Graph g = make_trial_instance(t);
 
@@ -310,13 +310,13 @@ long current_peak_rss_kb() {
 }  // namespace
 
 TrialResult run_trial(const TrialConfig& t, bool verify, std::uint32_t shards) {
-  TrialOptions opt;
+  RunnerOptions opt;
   opt.verify = verify;
   opt.shards = shards;
   return run_trial(t, opt);
 }
 
-TrialResult run_trial(const TrialConfig& t, const TrialOptions& opt) {
+TrialResult run_trial(const TrialConfig& t, const RunnerOptions& opt) {
   const auto start = std::chrono::steady_clock::now();
   TrialResult out;
   try {
@@ -388,14 +388,11 @@ std::vector<TrialResult> run_trials(const std::vector<TrialConfig>& trials,
   // their own slot; result content depends only on (TrialConfig, verify) —
   // the shard count is behavior-neutral by construction — so neither the
   // claim order nor the thread/shard split can affect aggregates.
-  TrialOptions topt;
-  topt.verify = opt.verify;
-  topt.shards = par.shards;
-  topt.trace_dir = opt.trace_dir;
-  topt.track_rss = opt.track_rss;
+  RunnerOptions per_trial = opt;
+  per_trial.shards = par.shards;
   support::WorkerPool pool(par.threads);
   pool.run(trials.size(), [&](std::size_t i) {
-    results[i] = run_trial(trials[i], topt);
+    results[i] = run_trial(trials[i], per_trial);
   });
   return results;
 }

@@ -55,6 +55,8 @@ struct TrialResult {
   std::string trace_file;
 };
 
+/// The knobs of run_trials and run_trial.  run_trial ignores `threads`;
+/// everything else applies per trial.
 struct RunnerOptions {
   /// Worker-thread budget shared by trial- and shard-parallelism; 0 means
   /// std::thread::hardware_concurrency().  Always clamped to the hardware
@@ -65,11 +67,13 @@ struct RunnerOptions {
   /// to k-machine-model trials too — the backend returns the underlying
   /// solver's cycle).
   bool verify = true;
-  /// Simulator shards per trial.  0 = auto: prefer trial-parallelism when
-  /// there are at least as many trials as budget lanes, otherwise hand the
-  /// leftover lanes to each trial as shards (few huge trials — the regime
-  /// where runner-level parallelism is useless).  Any value produces
-  /// bitwise-identical aggregates; only wall-clock changes.
+  /// Simulator shards per trial; any value produces bitwise-identical
+  /// results, only wall-clock changes.  0 = auto: run_trial takes the
+  /// DHC_SHARDS environment default; run_trials (resolve_parallelism)
+  /// prefers trial-parallelism when there are at least as many trials as
+  /// budget lanes, otherwise hands the leftover lanes to each trial as
+  /// shards (few huge trials — the regime where runner-level parallelism is
+  /// useless).
   std::uint32_t shards = 0;
   /// When non-empty, every CONGEST trial writes a flight-recorder trace to
   /// `trace_dir`/trace_c<config>_t<trial>.ndjson (see src/trace/).  The
@@ -80,16 +84,6 @@ struct RunnerOptions {
   /// end of each trial) on every result.  Off by default: the value is
   /// machine- and scheduling-dependent, so it must never enter artifacts
   /// that are compared bitwise across thread counts.
-  bool track_rss = false;
-};
-
-/// Per-trial knobs of run_trial — RunnerOptions minus the thread budget.
-struct TrialOptions {
-  bool verify = true;
-  /// 0 = the DHC_SHARDS environment default.
-  std::uint32_t shards = 0;
-  std::string trace_dir;
-  /// See RunnerOptions::track_rss.
   bool track_rss = false;
 };
 
@@ -119,9 +113,9 @@ graph::Graph make_trial_instance(const TrialConfig& t);
 /// propagated.
 TrialResult run_trial(const TrialConfig& t, bool verify = true, std::uint32_t shards = 0);
 
-/// Same, with tracing and node-stats knobs.  A failure to write the trace
+/// Same, with the trace and RSS knobs.  A failure to write the trace
 /// file is a trial failure (reported, never thrown).
-TrialResult run_trial(const TrialConfig& t, const TrialOptions& opt);
+TrialResult run_trial(const TrialConfig& t, const RunnerOptions& opt);
 
 /// Runs all trials on a worker pool, split as resolve_parallelism(trials,
 /// opt) says, and returns results in trial order.  Aggregate-relevant fields

@@ -1,8 +1,12 @@
-// Minimal --key=value flag parser shared by benches and examples.
+// Minimal --key=value flag parser shared by dhc_run, dhc_trace and the
+// examples, plus the strict value parsers that flags and scenario files
+// share.
 //
-// Every experiment binary accepts the same flag style (e.g. --n=4096
-// --seeds=5 --c=4.0) so sweeps are scriptable without pulling in a
-// full-blown CLI library.
+// Every binary accepts the same flag style (e.g. --n=4096 --seeds=5
+// --c=4.0) so sweeps are scriptable without pulling in a full-blown CLI
+// library.  A value parses only if the whole string does, and an integer
+// only if it fits the type it lands in: `300x`, `2.9` for an integer, and
+// `-1` for an unsigned field all throw.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +17,23 @@
 
 namespace dhc::support {
 
+/// Strict value parsers.  `what` names the source in the error message
+/// ("flag --n", "scenario key 'sizes'").  Each throws std::invalid_argument
+/// unless the whole of `text` is one value: an integer in T's range
+/// (defined for std::int64_t, std::uint64_t and std::uint32_t), or a
+/// number.
+template <class T>
+T parse_integer(const std::string& what, const std::string& text);
+double parse_number(const std::string& what, const std::string& text);
+
+/// Splits a comma-separated list.  An empty value or an empty element
+/// throws: a trailing or doubled comma is always a typo, never a request for
+/// the empty string.
+std::vector<std::string> split_list(const std::string& what, const std::string& text);
+
 /// Parsed command line: flags of the form --key=value (or bare --key,
-/// stored with value "true").  Unrecognized positional arguments throw.
+/// stored with value "true").  A positional argument or a repeated flag
+/// throws.
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
@@ -33,16 +52,7 @@ class Cli {
   std::string get_string(const std::string& key, const std::string& fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
-  /// Comma-separated integer list, e.g. --sizes=256,512,1024.
-  std::vector<std::int64_t> get_int_list(const std::string& key,
-                                         std::vector<std::int64_t> fallback) const;
-  /// Comma-separated double list, e.g. --deltas=0.3,0.5,0.7.
-  std::vector<double> get_double_list(const std::string& key,
-                                      std::vector<double> fallback) const;
-
-  /// Comma-separated string list, e.g. --algos=dhc2,turau.  Empty elements
-  /// (and an empty value) throw — a trailing or doubled comma is always a
-  /// typo, never a request for the empty string.
+  /// Comma-separated string list (split_list), e.g. --diff=a.ndjson,b.ndjson.
   std::vector<std::string> get_string_list(const std::string& key,
                                            std::vector<std::string> fallback) const;
 

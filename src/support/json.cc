@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -137,6 +138,7 @@ class Parser {
       if (pos_ >= text_.size()) fail(pos_, "unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) fail(pos_ - 1, "unescaped control character");
       if (c != '\\') {
         out.push_back(c);
         continue;
@@ -312,5 +314,23 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 }
 
 JsonValue parse_json(const std::string& text) { return Parser(text).parse_document(); }
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char ch : s) {
+    if (ch == '"' || ch == '\\') {
+      out.push_back('\\');
+      out.push_back(ch);
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", ch);
+      out += buf;
+    } else {
+      out.push_back(ch);
+    }
+  }
+  return out;
+}
 
 }  // namespace dhc::support

@@ -2,10 +2,11 @@
 //
 // Powers the trace reader (NDJSON lines, trace/reader.h), so it only needs
 // to parse what libdhc itself writes: objects, arrays, strings with
-// \"/\\/\uXXXX escapes, numbers, true/false/null.  Numbers are kept both
-// ways — as double and, when the text is integral and in range, as uint64 —
-// because trace counters are 64-bit and must not round-trip through a
-// double.
+// \"/\\/\uXXXX escapes (every writer escapes with json_escape, below, and
+// a raw control character is an error), numbers, true/false/null.
+// Numbers are kept both ways — as double and, when the text is integral and
+// in range, as uint64 — because trace counters are 64-bit and must not
+// round-trip through a double.
 #pragma once
 
 #include <cstdint>
@@ -81,5 +82,10 @@ class JsonValue {
 /// consumed (trailing whitespace allowed).  Throws std::invalid_argument with
 /// a byte offset on malformed input.
 JsonValue parse_json(const std::string& text);
+
+/// `s` as the body of a JSON string literal: `"` and `\` are
+/// backslash-escaped, control characters become \u00XX, every other byte
+/// (UTF-8 included) passes through.  parse_json reads it back to `s`.
+std::string json_escape(const std::string& s);
 
 }  // namespace dhc::support

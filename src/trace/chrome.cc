@@ -6,7 +6,11 @@
 #include <ostream>
 #include <string>
 
+#include "support/json.h"
+
 namespace dhc::trace {
+
+using support::json_escape;
 
 namespace {
 
@@ -14,16 +18,6 @@ std::string fmt_us(double us) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.3f", us);
   return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    out.push_back(ch);
-  }
-  return out;
 }
 
 }  // namespace
@@ -67,13 +61,13 @@ void write_chrome_trace(const TraceData& data, std::ostream& os) {
   const std::string algo = data.meta_str("algo");
   sep();
   os << "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\"args\":{\"name\":\""
-     << escape(algo.empty() ? "dhc" : algo) << "\"}}";
+     << json_escape(algo.empty() ? "dhc" : algo) << "\"}}";
 
   for (const PhaseSpan& s : data.spans) {
     const double ts = time_at(s.from_round);
     const double te = std::max(ts, time_at(s.to_round));
     sep();
-    os << "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"" << escape(s.label)
+    os << "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"" << json_escape(s.label)
        << "\",\"ts\":" << fmt_us(ts) << ",\"dur\":" << fmt_us(te - ts)
        << ",\"args\":{\"rounds\":" << s.rounds << ",\"stepped\":" << s.stepped
        << ",\"sent\":" << s.sent << ",\"bits\":" << s.bits << ",\"barriers\":" << s.barriers

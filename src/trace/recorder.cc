@@ -4,29 +4,14 @@
 #include <cstdio>
 #include <ostream>
 
+#include "support/json.h"
 #include "support/require.h"
 
 namespace dhc::trace {
 
-namespace {
+using support::json_escape;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out.push_back('\\');
-      out.push_back(ch);
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-      out += buf;
-    } else {
-      out.push_back(ch);
-    }
-  }
-  return out;
-}
+namespace {
 
 /// Doubles in the meta line (delta, c) render via %.17g so equal runs are
 /// byte-equal; integers elsewhere stream directly.

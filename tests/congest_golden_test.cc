@@ -104,7 +104,7 @@ std::string observe(const GoldenCell& cell, std::uint32_t shards = 0) {
   // the seed-derivation scheme (base_seed 7101 is this test's namespace).
   runner::Scenario s;
   s.algos = {cell.algo};
-  s.sizes = {static_cast<std::int64_t>(cell.n)};
+  s.sizes = {cell.n};
   s.deltas = {cell.delta};
   s.cs = {cell.c};
   s.seeds = cell.trial + 1;

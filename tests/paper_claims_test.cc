@@ -51,7 +51,7 @@ double polylog_factor(double n) {
 }
 
 /// A G(n, c·ln n / n^δ) sweep with two seeded trials per cell.
-runner::Scenario scenario(std::vector<Algorithm> algos, std::vector<std::int64_t> sizes,
+runner::Scenario scenario(std::vector<Algorithm> algos, std::vector<graph::NodeId> sizes,
                           double delta, double c, std::uint64_t base_seed) {
   runner::Scenario s;
   s.name = "paper-claim";
@@ -432,7 +432,7 @@ TEST(PaperClaims, EXP_T2) {
 // slope of rounds vs n stays within δ + 0.55, and at fixed n the denser
 // graph is faster (rounds grow with δ, within a 20% tolerance).
 TEST(PaperClaims, EXP_T10) {
-  const std::vector<std::int64_t> sizes = {256, 512, 1024};
+  const std::vector<graph::NodeId> sizes = {256, 512, 1024};
   std::vector<double> at_largest;  // median rounds at the largest n, by delta
   for (const double delta : {0.5, 0.75, 1.0}) {
     // δ = 1 is one n-sized partition, which needs a denser graph for
@@ -474,9 +474,9 @@ TEST(PaperClaims, EXP_T17_T19) {
   for (const double eps : {1.0 / 3.0, 0.5, 2.0 / 3.0}) {
     const double delta = 1.0 - eps;
     runner::Scenario s = scenario({Algorithm::kUpcast}, {}, delta, kC, 500);
-    for (const std::int64_t n : {256, 512, 1024}) {
+    for (const graph::NodeId n : {256u, 512u, 1024u}) {
       // p -> 1 is the degenerate complete graph.
-      if (graph::edge_probability(static_cast<graph::NodeId>(n), kC, delta) < 0.999) {
+      if (graph::edge_probability(n, kC, delta) < 0.999) {
         s.sizes.push_back(n);
       }
     }

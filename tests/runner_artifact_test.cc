@@ -154,7 +154,7 @@ TEST(Artifact, KMachineModelArtifactsCarryPricingStats) {
                                    {"sizes", "64"},
                                    {"deltas", "0.5"},
                                    {"cs", "4"},
-                                   {"k_list", "2,4"},
+                                   {"machines", "2,4"},
                                    {"bandwidth", "8"},
                                    {"seeds", "2"}});
   const auto trials = expand(a.scenario);
@@ -216,7 +216,7 @@ TEST(Artifact, TrialStatsKeySetsArePinnedPerModel) {
   const Keys oracle = with(instance, {"extensions", "rotations", "steps"});
 
   EXPECT_EQ(keys_of({{"algos", "dhc2"}}), dhc2);
-  EXPECT_EQ(keys_of({{"algos", "dhc2"}, {"model", "kmachine"}, {"k_list", "4"}}),
+  EXPECT_EQ(keys_of({{"algos", "dhc2"}, {"model", "kmachine"}, {"machines", "4"}}),
             with(dhc2, {"busiest_link_peak", "congest_rounds", "cross_messages",
                         "kmachine_rounds", "local_messages"}));
   EXPECT_EQ(keys_of({{"algos", "dhc2"},

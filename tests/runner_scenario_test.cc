@@ -5,17 +5,20 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace dhc::runner {
 namespace {
 
 TEST(ParseAlgorithm, AcceptsAllSpellings) {
   EXPECT_EQ(parse_algorithm("sequential"), Algorithm::kSequential);
-  EXPECT_EQ(parse_algorithm("seq"), Algorithm::kSequential);
   EXPECT_EQ(parse_algorithm("dra"), Algorithm::kDra);
   EXPECT_EQ(parse_algorithm("dhc1"), Algorithm::kDhc1);
   EXPECT_EQ(parse_algorithm("dhc2"), Algorithm::kDhc2);
@@ -40,10 +43,10 @@ TEST(ParseAlgorithm, RejectsUnknown) {
 }
 
 TEST(ParseExecutionModel, RoundTripsAndRejects) {
-  for (const ExecutionModel m : {ExecutionModel::kCongest, ExecutionModel::kKMachine}) {
+  for (const ExecutionModel m :
+       {ExecutionModel::kCongest, ExecutionModel::kKMachine, ExecutionModel::kAsync}) {
     EXPECT_EQ(parse_execution_model(to_string(m)), m);
   }
-  EXPECT_EQ(parse_execution_model("k-machine"), ExecutionModel::kKMachine);
   EXPECT_THROW(parse_execution_model("pram"), std::invalid_argument);
   EXPECT_THROW(parse_execution_model(""), std::invalid_argument);
 }
@@ -56,10 +59,7 @@ TEST(ParseGraphFamily, RoundTripsAndRejects) {
   EXPECT_THROW(parse_graph_family("smallworld"), std::invalid_argument);
 }
 
-TEST(ParseGraphFamily, PowerlawSpellingsAndSpec) {
-  EXPECT_EQ(parse_graph_family("powerlaw"), GraphFamily::kPowerlaw);
-  EXPECT_EQ(parse_graph_family("power-law"), GraphFamily::kPowerlaw);
-  EXPECT_EQ(parse_graph_family("chung-lu"), GraphFamily::kPowerlaw);
+TEST(ParseGraphFamily, PowerlawSpec) {
   const Scenario s = scenario_from_spec({{"family", "powerlaw"}, {"sizes", "64"}});
   EXPECT_EQ(s.family, GraphFamily::kPowerlaw);
   const auto trials = expand(s);
@@ -71,6 +71,21 @@ TEST(ParseMergeStrategy, RoundTripsAndRejects) {
   EXPECT_EQ(parse_merge_strategy("minforward"), core::MergeStrategy::kMinForward);
   EXPECT_EQ(parse_merge_strategy("fullqueue"), core::MergeStrategy::kFullQueue);
   EXPECT_THROW(parse_merge_strategy("greedy"), std::invalid_argument);
+}
+
+// Each value has one spelling, the one to_string prints; the retired
+// aliases are errors, not synonyms.
+TEST(ParseEnums, RetiredSpellingsThrow) {
+  for (const char* alias : {"seq", "rotation", "collectall"}) {
+    EXPECT_THROW(parse_algorithm(alias), std::invalid_argument) << alias;
+  }
+  EXPECT_THROW(parse_execution_model("k-machine"), std::invalid_argument);
+  for (const char* alias : {"power-law", "chung-lu"}) {
+    EXPECT_THROW(parse_graph_family(alias), std::invalid_argument) << alias;
+  }
+  for (const char* alias : {"min-forward", "full-queue"}) {
+    EXPECT_THROW(parse_merge_strategy(alias), std::invalid_argument) << alias;
+  }
 }
 
 TEST(ScenarioValidate, DefaultIsValid) { EXPECT_NO_THROW(Scenario{}.validate()); }
@@ -261,21 +276,20 @@ TEST(ScenarioFromSpec, ParsesEveryKey) {
   EXPECT_EQ(s.algos[1], Algorithm::kDhc2);
   EXPECT_EQ(s.model, ExecutionModel::kKMachine);
   EXPECT_EQ(s.family, GraphFamily::kGnm);
-  EXPECT_EQ(s.sizes, (std::vector<std::int64_t>{128, 256}));
+  EXPECT_EQ(s.sizes, (std::vector<graph::NodeId>{128, 256}));
   EXPECT_EQ(s.deltas, (std::vector<double>{0.5, 0.75}));
   EXPECT_EQ(s.merges, (std::vector<core::MergeStrategy>{core::MergeStrategy::kFullQueue}));
-  EXPECT_EQ(s.machines, (std::vector<std::int64_t>{4, 8}));
-  EXPECT_EQ(s.bandwidth, 16);
+  EXPECT_EQ(s.machines, (std::vector<std::uint32_t>{4, 8}));
+  EXPECT_EQ(s.bandwidth, 16u);
   EXPECT_EQ(s.seeds, 7u);
   EXPECT_EQ(s.base_seed, 42u);
 }
 
-TEST(ScenarioFromSpec, KListIsAnAliasForMachines) {
-  const auto s = scenario_from_spec({{"model", "kmachine"}, {"k_list", "2,4,8"}});
-  EXPECT_EQ(s.machines, (std::vector<std::int64_t>{2, 4, 8}));
-  // Both aliases at once is ambiguous, in files and on the CLI alike.
-  EXPECT_THROW(scenario_from_spec({{"machines", "8"}, {"k_list", "2,4"}}),
+TEST(ScenarioFromSpec, RetiredKeysThrow) {
+  EXPECT_THROW(scenario_from_spec({{"algo", "dhc2"}}), std::invalid_argument);
+  EXPECT_THROW(scenario_from_spec({{"model", "kmachine"}, {"k_list", "2,4,8"}}),
                std::invalid_argument);
+  EXPECT_THROW(scenario_from_spec({{"model", "kmachine"}, {"k", "4"}}), std::invalid_argument);
 }
 
 TEST(ScenarioFromSpec, RejectsMalformedSpecs) {
@@ -286,6 +300,16 @@ TEST(ScenarioFromSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(scenario_from_spec({{"seeds", "0"}}), std::invalid_argument);
   EXPECT_THROW(scenario_from_spec({{"cs", ""}}), std::invalid_argument);
   EXPECT_THROW(scenario_from_spec({{"sizes", "12x"}}), std::invalid_argument);
+  EXPECT_THROW(scenario_from_spec({{"sizes", "64,"}}), std::invalid_argument);
+  // Range-checked into the field's type before any cast: a negative count
+  // never wraps to 2^64 - 1 trials, and n never wraps modulo 2^32.
+  EXPECT_THROW(scenario_from_spec({{"seeds", "-1"}}), std::invalid_argument);
+  EXPECT_THROW(scenario_from_spec({{"seed", "-1"}}), std::invalid_argument);
+  EXPECT_THROW(scenario_from_spec({{"model", "async"}, {"max_rounds", "-1"}}),
+               std::invalid_argument);
+  EXPECT_THROW(scenario_from_spec({{"sizes", "4294967312"}}), std::invalid_argument);
+  EXPECT_THROW(scenario_from_spec({{"model", "kmachine"}, {"machines", "4294967298"}}),
+               std::invalid_argument);
 }
 
 class ScenarioFileTest : public ::testing::Test {
@@ -310,7 +334,7 @@ TEST_F(ScenarioFileTest, ParsesKeyValueLinesWithCommentsAndBlanks) {
   const auto s = scenario_from_file(path);
   EXPECT_EQ(s.name, "threshold");
   EXPECT_EQ(s.algos, (std::vector<Algorithm>{Algorithm::kDra}));
-  EXPECT_EQ(s.sizes, (std::vector<std::int64_t>{64, 128}));
+  EXPECT_EQ(s.sizes, (std::vector<graph::NodeId>{64, 128}));
   EXPECT_EQ(s.seeds, 9u);
 }
 
@@ -321,6 +345,112 @@ TEST_F(ScenarioFileTest, RejectsMalformedFiles) {
   EXPECT_THROW(scenario_from_file(write_file("seeds = 3\nseeds = 4\n")), std::invalid_argument);
   EXPECT_THROW(scenario_from_file(write_file("frobnicate = yes\n")), std::invalid_argument);
   EXPECT_THROW(scenario_from_file(write_file("node_stats = full\n")), std::invalid_argument);
+  EXPECT_THROW(scenario_from_file(write_file("seeds = -1\n")), std::invalid_argument);
+  EXPECT_THROW(scenario_from_file(write_file("seed = -1\n")), std::invalid_argument);
+  EXPECT_THROW(scenario_from_file(write_file("model = async\nmax_rounds = -1\n")),
+               std::invalid_argument);
+  EXPECT_THROW(scenario_from_file(write_file("sizes = 4294967312\n")), std::invalid_argument);
+  EXPECT_THROW(scenario_from_file(write_file("model = kmachine\nmachines = 4294967298\n")),
+               std::invalid_argument);
+}
+
+// One grammar: the same key=value pairs given to scenario_from_spec, written
+// to a scenario file, or passed as flags give the same Scenario — or a throw
+// from all three.
+TEST_F(ScenarioFileTest, SameInputSameAnswerThroughSpecFileAndFlags) {
+  using Pairs = std::vector<std::pair<std::string, std::string>>;
+  const std::vector<std::pair<Pairs, bool>> rows = {
+      // Malformed, out of range, or a retired spelling: every route throws.
+      {{{"sizes", "300x"}}, false},
+      {{{"seeds", "2.9"}}, false},
+      {{{"model", "async"}, {"drop_prob", "0.01zz"}}, false},
+      {{{"seeds", "-1"}}, false},
+      {{{"model", "async"}, {"max_rounds", "-1"}}, false},
+      {{{"sizes", "4294967312"}}, false},
+      {{{"model", "kmachine"}, {"machines", "4294967298"}}, false},
+      {{{"sizes", "64,"}}, false},
+      {{{"deltas", "0.5,,1"}}, false},
+      {{{"algo", "dhc2"}}, false},
+      {{{"model", "kmachine"}, {"k_list", "4"}}, false},
+      {{{"algos", "seq"}}, false},
+      {{{"algos", "rotation"}}, false},
+      {{{"algos", "collectall"}}, false},
+      {{{"model", "k-machine"}}, false},
+      {{{"family", "power-law"}}, false},
+      {{{"family", "chung-lu"}}, false},
+      {{{"merges", "min-forward"}}, false},
+      {{{"merges", "full-queue"}}, false},
+      // One valid row per spec key.
+      {{{"name", "grammar"}}, true},
+      {{{"algos", "dra,turau"}}, true},
+      {{{"model", "async"}}, true},
+      {{{"family", "powerlaw"}}, true},
+      {{{"sizes", "64,4294967295"}}, true},
+      {{{"deltas", "0.5,1"}}, true},
+      {{{"cs", "2.5,1e1"}}, true},
+      {{{"merges", "minforward,fullqueue"}}, true},
+      {{{"model", "kmachine"}, {"machines", "2,16"}}, true},
+      {{{"model", "kmachine"}, {"bandwidth", "16"}}, true},
+      {{{"seeds", "7"}}, true},
+      {{{"seed", "18446744073709551615"}}, true},
+      {{{"model", "async"}, {"delay_dist", "fixed:2,uniform:1:3"}}, true},
+      {{{"model", "async"}, {"drop_prob", "0,0.05"}}, true},
+      {{{"model", "async"}, {"crash_schedule", "none,random:0.1:5:10"}}, true},
+      {{{"model", "async"}, {"reliability", "none,ack"}}, true},
+      {{{"model", "async"}, {"rto", "rto:8"}}, true},
+      {{{"model", "async"}, {"max_rounds", "200000"}}, true},
+  };
+  const auto outcome = [](const std::function<Scenario()>& parse) -> std::optional<Scenario> {
+    try {
+      return parse();
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;
+    }
+  };
+  std::set<std::string> keys_with_a_valid_row;
+  for (const auto& [pairs, valid] : rows) {
+    std::map<std::string, std::string> spec;
+    std::string file;
+    std::vector<std::string> flags = {"prog"};
+    for (const auto& [key, value] : pairs) {
+      spec[key] = value;
+      file += key + " = " + value + "\n";
+      flags.push_back("--" + key + "=" + value);
+    }
+    SCOPED_TRACE(file);
+    std::vector<const char*> argv;
+    for (const auto& f : flags) argv.push_back(f.c_str());
+    const auto from_spec = outcome([&] { return scenario_from_spec(spec); });
+    const auto from_file = outcome([&] { return scenario_from_file(write_file(file)); });
+    const auto from_cli = outcome([&] {
+      // As dhc_run does: unknown flags first, then the scenario.
+      const support::Cli cli(static_cast<int>(argv.size()), argv.data());
+      cli.reject_unknown(scenario_flags());
+      return scenario_from_cli(cli);
+    });
+    EXPECT_EQ(from_spec.has_value(), valid);
+    EXPECT_EQ(from_file, from_spec);
+    EXPECT_EQ(from_cli, from_spec);
+    if (valid && from_spec) {
+      EXPECT_NE(*from_spec, Scenario{});
+      keys_with_a_valid_row.insert(pairs.back().first);
+    }
+  }
+  std::set<std::string> spec_keys = scenario_flags();
+  spec_keys.erase("scenario");
+  EXPECT_EQ(keys_with_a_valid_row, spec_keys);
+}
+
+TEST_F(ScenarioFileTest, FlagsOverlayTheScenarioFile) {
+  const std::string path = write_file("sizes = 64\nseeds = 3\n");
+  const std::string scenario = "--scenario=" + path;
+  const char* argv[] = {"prog", scenario.c_str(), "--sizes=128"};
+  const auto s = scenario_from_cli(support::Cli(3, argv));
+  EXPECT_EQ(s.sizes, (std::vector<graph::NodeId>{128}));
+  EXPECT_EQ(s.seeds, 3u);
+  // A flag is parsed like the file key it replaces.
+  const char* bad[] = {"prog", scenario.c_str(), "--sizes=128x"};
+  EXPECT_THROW(scenario_from_cli(support::Cli(3, bad)), std::invalid_argument);
 }
 
 TEST(ScenarioFromCli, FlagsOverrideDefaults) {
@@ -329,20 +459,20 @@ TEST(ScenarioFromCli, FlagsOverrideDefaults) {
   const support::Cli cli(6, argv);
   const auto s = scenario_from_cli(cli);
   EXPECT_EQ(s.algos, (std::vector<Algorithm>{Algorithm::kDra, Algorithm::kUpcast}));
-  EXPECT_EQ(s.sizes, (std::vector<std::int64_t>{96}));
+  EXPECT_EQ(s.sizes, (std::vector<graph::NodeId>{96}));
   EXPECT_EQ(s.deltas, (std::vector<double>{0.75}));
   EXPECT_EQ(s.seeds, 11u);
   EXPECT_EQ(s.base_seed, 5u);
 }
 
-TEST(ScenarioFromCli, ModelAndKFlagsSelectTheKMachineBackend) {
-  const char* argv[] = {"prog", "--model=kmachine", "--algos=turau", "--k=4,8",
+TEST(ScenarioFromCli, ModelAndMachinesFlagsSelectTheKMachineBackend) {
+  const char* argv[] = {"prog", "--model=kmachine", "--algos=turau", "--machines=4,8",
                         "--bandwidth=64"};
   const support::Cli cli(5, argv);
   const auto s = scenario_from_cli(cli);
   EXPECT_EQ(s.model, ExecutionModel::kKMachine);
-  EXPECT_EQ(s.machines, (std::vector<std::int64_t>{4, 8}));
-  EXPECT_EQ(s.bandwidth, 64);
+  EXPECT_EQ(s.machines, (std::vector<std::uint32_t>{4, 8}));
+  EXPECT_EQ(s.bandwidth, 64u);
   const auto trials = expand(s);
   ASSERT_FALSE(trials.empty());
   EXPECT_EQ(trials[0].model, ExecutionModel::kKMachine);
@@ -356,13 +486,16 @@ TEST(ScenarioFromCli, RejectsMalformedFlags) {
   EXPECT_THROW(scenario_from_cli(cli), std::invalid_argument);
 }
 
-TEST(ScenarioFromCli, ScenarioFlagsAcceptAliasesAndRejectTypos) {
-  const char* argv[] = {"prog", "--scenario=f.scn", "--algo=dra", "--k=4", "--seeds=2"};
+TEST(ScenarioFromCli, ScenarioFlagsAreTheSpecKeysAndRejectTyposAndAliases) {
+  EXPECT_EQ(scenario_flags().size(), 19u);  // 18 spec keys + --scenario
+  const char* argv[] = {"prog", "--scenario=f.scn", "--algos=dra", "--machines=4", "--seeds=2"};
   EXPECT_NO_THROW(support::Cli(5, argv).reject_unknown(scenario_flags()));
-  const char* typo[] = {"prog", "--sizez=64"};
-  EXPECT_THROW(support::Cli(2, typo).reject_unknown(scenario_flags()), std::invalid_argument);
-  const char* retired[] = {"prog", "--node_stats=full"};
-  EXPECT_THROW(support::Cli(2, retired).reject_unknown(scenario_flags()), std::invalid_argument);
+  for (const char* flag : {"--sizez=64", "--node_stats=full", "--algo=dra", "--k=4",
+                           "--k_list=4"}) {
+    const char* bad[] = {"prog", flag};
+    EXPECT_THROW(support::Cli(2, bad).reject_unknown(scenario_flags()), std::invalid_argument)
+        << flag;
+  }
 }
 
 // The workload scenarios under bench/scenarios/ (DHC_BENCH_DIR is the bench/

@@ -62,11 +62,46 @@ TEST(Cli, FallbacksWhenAbsent) {
   EXPECT_FALSE(cli.has("n"));
 }
 
-TEST(Cli, ListFlags) {
-  const auto cli = make_cli({"--sizes=256,512,1024", "--deltas=0.3,0.5"});
-  EXPECT_EQ(cli.get_int_list("sizes", {}), (std::vector<std::int64_t>{256, 512, 1024}));
-  EXPECT_EQ(cli.get_double_list("deltas", {}), (std::vector<double>{0.3, 0.5}));
-  EXPECT_EQ(cli.get_int_list("absent", {7}), (std::vector<std::int64_t>{7}));
+// The strict value parsers behind flags and scenario files: the whole string
+// must be the value, and an integer must fit the type it lands in.
+TEST(StrictParsers, IntegersParseWholeAndInRange) {
+  EXPECT_EQ(parse_integer<std::int64_t>("x", "-42"), -42);
+  EXPECT_EQ(parse_integer<std::uint32_t>("x", "4294967295"), 4294967295u);
+  EXPECT_EQ(parse_integer<std::uint64_t>("x", "18446744073709551615"),
+            18446744073709551615u);
+  for (const char* bad : {"", "300x", "2.9", " 7", "+7", "0x10", "1e3", "true"}) {
+    EXPECT_THROW(parse_integer<std::int64_t>("x", bad), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(parse_integer<std::uint32_t>("x", "4294967296"), std::invalid_argument);
+  EXPECT_THROW(parse_integer<std::uint64_t>("x", "-1"), std::invalid_argument);
+  EXPECT_THROW(parse_integer<std::int64_t>("x", "9223372036854775808"), std::invalid_argument);
+  try {
+    parse_integer<std::uint32_t>("scenario key 'sizes'", "4294967312");
+    FAIL() << "an out-of-range integer must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "scenario key 'sizes' expects an integer in [0, 4294967295], got '4294967312'");
+  }
+}
+
+TEST(StrictParsers, NumbersAndListsParseWhole) {
+  EXPECT_DOUBLE_EQ(parse_number("x", "0.05"), 0.05);
+  EXPECT_DOUBLE_EQ(parse_number("x", "1e-3"), 1e-3);
+  for (const char* bad : {"", "0.01zz", "1e999", " 1", "x"}) {
+    EXPECT_THROW(parse_number("x", bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(split_list("x", "a,bb"), (std::vector<std::string>{"a", "bb"}));
+  for (const char* bad : {"", ",", "a,", ",a", "a,,b"}) {
+    EXPECT_THROW(split_list("x", bad), std::invalid_argument) << bad;
+  }
+}
+
+// A repeated flag is an error, as a duplicate key is in a scenario file:
+// keeping the last value would silently drop the first.
+TEST(Cli, RepeatedFlagThrows) {
+  EXPECT_THROW(make_cli({"--sizes=64", "--sizes=128"}), std::invalid_argument);
+  EXPECT_THROW(make_cli({"--verbose", "--verbose=false"}), std::invalid_argument);
+  EXPECT_NO_THROW(make_cli({"--sizes=64", "--seeds=2"}));
 }
 
 TEST(Cli, StringListFlags) {
@@ -79,9 +114,13 @@ TEST(Cli, StringListFlags) {
 }
 
 TEST(Cli, MalformedValuesThrow) {
-  const auto cli = make_cli({"--n=abc", "--flag=maybe"});
+  const auto cli = make_cli({"--n=abc", "--flag=maybe", "--m=4096x", "--c=3.5zz",
+                             "--big=9223372036854775808"});
   EXPECT_THROW(cli.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(cli.get_bool("flag", false), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("m", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("c", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("big", 0), std::invalid_argument);
 }
 
 TEST(Cli, RejectUnknownThrowsOnTheStrayFlagOnly) {

@@ -28,6 +28,8 @@
 #include "graph/generators.h"
 #include "kmachine/kmachine.h"
 #include "runner/trial_runner.h"
+#include "support/json.h"
+#include "trace/chrome.h"
 #include "trace/reader.h"
 #include "trace/recorder.h"
 #include "trace/summary.h"
@@ -397,7 +399,7 @@ TEST(TraceIntegration, RunTrialWritesReadableTraceFile) {
   t.algo_seed = 202;
   t.config_index = 3;
   t.trial_index = 1;
-  runner::TrialOptions opt;
+  runner::RunnerOptions opt;
   opt.trace_dir = dir;
   const auto r = runner::run_trial(t, opt);
 
@@ -434,12 +436,40 @@ TEST(TraceIntegration, SequentialTrialsDoNotTrace) {
   t.c = 4.0;
   t.graph_seed = 7;
   t.algo_seed = 8;
-  runner::TrialOptions opt;
+  runner::RunnerOptions opt;
   opt.trace_dir = dir;
   const auto r = runner::run_trial(t, opt);
   EXPECT_TRUE(r.trace_file.empty());
   EXPECT_TRUE(std::filesystem::is_empty(dir));
   std::filesystem::remove_all(dir);
+}
+
+// Every JSON writer escapes through support::json_escape, so a control
+// character in a label comes out as \u00XX, never as a raw byte that a
+// strict JSON reader (python3 -m json.tool, chrome://tracing) rejects.
+TEST(TraceChrome, ControlCharactersInLabelsAreEscaped) {
+  TraceData data;
+  data.meta_strings["algo"] = "dhc2";
+  PhaseSpan span;
+  span.label = "global\x01setup";
+  span.to_round = 2;
+  span.rounds = 2;
+  data.spans.push_back(span);
+  std::ostringstream os;
+  write_chrome_trace(data, os);
+  const std::string out = os.str();
+  EXPECT_EQ(out.find('\x01'), std::string::npos);
+  EXPECT_NE(out.find("global\\u0001setup"), std::string::npos);
+  const support::JsonValue doc = support::parse_json(out);
+  EXPECT_EQ(doc.get("traceEvents").as_array().at(1).str("name"), "global\x01setup");
+}
+
+TEST(Json, EscapeRoundTripsAndRawControlCharactersAreRejected) {
+  const std::string nasty = "q\"b\\t\tn\nc\x01\x1f utf8 \xc3\xa9";
+  EXPECT_EQ(support::json_escape(nasty),
+            "q\\\"b\\\\t\\u0009n\\u000ac\\u0001\\u001f utf8 \xc3\xa9");
+  EXPECT_EQ(support::parse_json("\"" + support::json_escape(nasty) + "\"").as_string(), nasty);
+  EXPECT_THROW(support::parse_json("\"a\x01z\""), std::invalid_argument);
 }
 
 }  // namespace

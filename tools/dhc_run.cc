@@ -5,26 +5,29 @@
 // prints per-configuration aggregates plus JSON/CSV artifacts.  Aggregates
 // are bitwise independent of --threads; only wall-clock changes.
 //
-//   ./dhc_run --algo=dhc2 --sizes=256,512 --deltas=0.5 --seeds=20 --threads=8
+//   ./dhc_run --algos=dhc2 --sizes=256,512 --deltas=0.5 --seeds=20 --threads=8
 //   ./dhc_run --scenario=sweep.scn --threads=0        # 0 = all hardware threads
 //
-// Flags (all optional; scenario-file keys use the same names):
+// Flags (all optional).  Every flag from --name to --seed is a scenario key:
+// it overrides the same key of the --scenario file and is parsed exactly as
+// that key is in a file (runner::scenario_from_spec).  Values must parse
+// whole, and a repeated flag is an error.
 //   --scenario=FILE   key = value scenario file; other flags override it
 //   --name=STR        scenario name recorded in the artifacts
 //   --algos=LIST      sequential|dra|dhc1|dhc2|upcast|collect-all|turau|cre
 //                     (cre = the linear-space sequential oracle)
 //   --model=STR       congest (default) | kmachine | async — kmachine runs
 //                     every selected algorithm through the k-machine
-//                     execution backend (paper §IV) and sweeps --k; async
-//                     runs them under seed-deterministic delivery delays,
-//                     drops, and node crashes and sweeps the fault axes
+//                     execution backend (paper §IV) and sweeps --machines;
+//                     async runs them under seed-deterministic delivery
+//                     delays, drops, and node crashes and sweeps the fault
+//                     axes
 //   --family=STR      gnp|gnm|regular|powerlaw
 //   --sizes=LIST      graph sizes n
 //   --deltas=LIST     density exponents, p = c·ln n / n^delta
 //   --cs=LIST         density constants
 //   --merges=LIST     minforward|fullqueue (DHC2-based algorithms)
-//   --k=LIST          machine counts for --model=kmachine (aliases:
-//                     --machines, --k_list)
+//   --machines=LIST   machine counts for --model=kmachine
 //   --bandwidth=N     per-link messages/round for the k-machine pricing
 //   --delay_dist=LIST per-edge latency specs for --model=async, each
 //                     none | fixed:K | uniform:A:B | geometric:P
@@ -108,14 +111,14 @@ int main(int argc, char** argv) {
     if (cli.has("help")) {
       std::cout << "usage: dhc_run [--scenario=FILE] [--algos=...] "
                    "[--model=congest|kmachine|async] "
-                   "[--sizes=...] [--deltas=...] [--cs=...] [--k=...] [--bandwidth=N] "
+                   "[--sizes=...] [--deltas=...] [--cs=...] [--machines=...] [--bandwidth=N] "
                    "[--delay_dist=...] [--drop_prob=...] [--crash_schedule=...] "
                    "[--reliability=none|ack] [--rto=SPEC] [--max_rounds=N] "
                    "[--seeds=N] [--threads=N] [--json=PATH] [--csv=PATH]\n"
-                   "Unknown flags are an error (exit 2).\n"
+                   "Unknown, repeated or malformed flags are an error (exit 2).\n"
                    "algorithms: sequential|dra|dhc1|dhc2|upcast|collect-all|turau|cre\n"
                    "--model=kmachine prices any algorithm in the k-machine model "
-                   "(sweeps --k machine counts).\n"
+                   "(sweeps --machines counts).\n"
                    "--model=async injects seed-deterministic delivery delays "
                    "(--delay_dist), drops (--drop_prob), and crashes "
                    "(--crash_schedule); --reliability=ack adds the "
