@@ -110,6 +110,32 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
 
 Network::~Network() = default;
 
+template <class Visit>
+void Network::expand_log(const ShardState& sh, NodeId lo, NodeId hi, Visit&& visit) const {
+  const std::uint32_t* list = sh.ranks.data();
+  for (const Message& m : sh.outbox) {
+    if (m.to != kNoNode) {
+      if (m.to >= lo && m.to < hi) visit(m, m.to, kNoEdge);
+      continue;
+    }
+    // CSR rows are sorted, so the receivers in [lo, hi) are one run of
+    // the (implicit or listed) ascending ranks.
+    const auto nb = graph_->neighbors(m.from);
+    const std::size_t edge0 = edge_offsets_[m.from];
+    const std::uint32_t count = *list++;
+    if (count == nb.size()) {
+      std::size_t i = lo == 0 ? 0 : std::lower_bound(nb.begin(), nb.end(), lo) - nb.begin();
+      for (; i < nb.size() && nb[i] < hi; ++i) visit(m, nb[i], edge0 + i);
+    } else {
+      const std::uint32_t* const end = list + count;
+      const auto below = [&](std::uint32_t rank) { return nb[rank] < lo; };
+      const std::uint32_t* r = lo == 0 ? list : std::partition_point(list, end, below);
+      for (; r != end && nb[*r] < hi; ++r) visit(m, nb[*r], edge0 + *r);
+      list = end;
+    }
+  }
+}
+
 void Network::throw_non_neighbor(NodeId from, NodeId to) const {
   throw CongestViolation("node " + std::to_string(from) + " sent to non-neighbor " +
                          std::to_string(to) + " in round " + std::to_string(round_));
@@ -117,15 +143,16 @@ void Network::throw_non_neighbor(NodeId from, NodeId to) const {
 
 void Network::throw_over_capacity(const ShardState& sh, NodeId from, NodeId to,
                                   const Message& msg) const {
-  // All of this round's prior sends on (from → to) live in the sender's own
-  // shard log, so the diagnostic is identical for every shard count.
+  // All of this round's prior sends on (from → to), unicast or multicast,
+  // live in the sender's own shard log, so the diagnostic is identical for
+  // every shard count.
   std::string prior_tags;
-  for (const Message& queued : sh.outbox) {
-    if (queued.from == from && queued.to == to) {
+  expand_log(sh, to, to + 1, [&](const Message& queued, NodeId, std::size_t) {
+    if (queued.from == from) {
       prior_tags += ' ';
       prior_tags += std::to_string(queued.tag);
     }
-  }
+  });
   throw CongestViolation("edge (" + std::to_string(from) + "→" + std::to_string(to) +
                          ") over capacity in round " + std::to_string(round_) +
                          ": CONGEST allows 1 message(s) per edge per round (new tag " +
@@ -172,8 +199,7 @@ std::uint64_t Network::next_armed_round() const {
   return best;
 }
 
-void Network::enqueue_async(NodeId from, NodeId to, const Message& msg) {
-  const std::size_t edge_id = edge_offsets_[from] + graph_->neighbor_rank(from, to);
+void Network::enqueue_async(NodeId from, NodeId to, std::size_t edge_id, const Message& msg) {
   Frame frame{msg};
   frame.msg.from = from;
   frame.msg.to = to;
@@ -404,13 +430,35 @@ void Network::deliver_and_build_active_set() {
   if (faults_ != nullptr && faults_->crashes_active()) filter_crashed_active();
 
   // Stable scatter: the shard logs in shard order are the global send order
-  // (DESIGN.md §5), which becomes per-node arrival order.
+  // (DESIGN.md §5), which becomes per-node arrival order.  After a sharded
+  // round the pool scatters too: lane i owns the receivers in
+  // [n·i/s, n·(i+1)/s) and walks every log in that same order, so each
+  // inbox is written by one lane, in global send order.
   inbox_live_ = parked_;
   if (inbox_arena_.size() < parked_) inbox_arena_.resize(parked_);
   if (parked_ != 0) {
+    const auto scatter = [&](NodeId lo, NodeId hi) {
+      for (const ShardState& sh : shard_state_) {
+        expand_log(sh, lo, hi, [&](const Message& m, NodeId to, std::size_t) {
+          Message& slot = inbox_arena_[inbox_cursor_[to]++];
+          slot = m;
+          slot.to = to;
+        });
+      }
+    };
+    const NodeId n = graph_->n();
+    if (last_round_sharded_) {
+      const std::size_t s = shards_;
+      pool_->run(s, [&](std::size_t lane) {
+        scatter(static_cast<NodeId>(std::uint64_t{n} * lane / s),
+                static_cast<NodeId>(std::uint64_t{n} * (lane + 1) / s));
+      });
+    } else {
+      scatter(0, n);
+    }
     for (ShardState& sh : shard_state_) {
-      for (const Message& m : sh.outbox) inbox_arena_[inbox_cursor_[m.to]++] = m;
       sh.outbox.clear();
+      sh.ranks.clear();
     }
     parked_ = 0;
   }
@@ -506,14 +554,18 @@ void Network::merge_shard_logs() {
       // Async regime: replay each send through the fault plan in the global
       // send order.  Every drop/delay decision is a pure hash of the edge
       // and round, so the decisions are the same for every shard count.
-      for (const Message& m : sh.outbox) enqueue_async(m.from, m.to, m);
+      expand_log(sh, 0, graph_->n(), [&](const Message& m, NodeId to, std::size_t edge_id) {
+        if (edge_id == kNoEdge) edge_id = edge_offsets_[m.from] + graph_->neighbor_rank(m.from, to);
+        enqueue_async(m.from, to, edge_id, m);
+      });
       sh.outbox.clear();
+      sh.ranks.clear();
     } else {
-      for (const Message& m : sh.outbox) {
-        metrics_.node_messages_received[m.to] += 1;
-        if (inbox_count_[m.to]++ == 0) next_active_.push_back(m.to);
-      }
-      parked_ += sh.outbox.size();
+      expand_log(sh, 0, graph_->n(), [&](const Message&, NodeId to, std::size_t) {
+        metrics_.node_messages_received[to] += 1;
+        if (inbox_count_[to]++ == 0) next_active_.push_back(to);
+        ++parked_;
+      });
     }
     for (const auto& [delay, v] : sh.wakeups) arm_wakeup(v, delay);
     sh.wakeups.clear();

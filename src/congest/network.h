@@ -8,8 +8,9 @@
 // n × rounds.
 //
 // Memory layout (DESIGN.md §4): the hot path is allocation-free in the
-// steady state.  Sends append 28-byte Messages to the sending shard's log;
-// at the next round's delivery the logs are scattered in shard order —
+// steady state.  A send appends one 28-byte record to the sending shard's
+// log — a multicast, one record for all its receivers plus a 4-byte rank
+// list; at the next round's delivery the logs are expanded in shard order —
 // stably, so per-node arrival order is the global send order — into a flat
 // inbox arena in which every active node owns one contiguous slice.  inbox()
 // is a span over that slice.  Wake-ups live in a fixed-size bucket wheel
@@ -25,8 +26,10 @@
 // active set, the merge order is the global send order whatever the slicing
 // — the stable scatter, per-node inbox order, wheel bucket contents,
 // per-node RNG streams, and every Metrics counter are bitwise identical for
-// any shard count.  The shard partition is independent of how many pool
-// threads execute it, so determinism never depends on the machine.
+// any shard count.  The delivery after a sharded round scatters on the pool
+// too, each lane writing only the inboxes of its own receiver id range.  The
+// shard partition is independent of how many pool threads execute it, so
+// determinism never depends on the machine.
 //
 // Phase barriers: when the network goes quiescent (no messages in flight, no
 // wake-ups armed) the protocol's on_quiescence() hook runs; it can advance
@@ -80,8 +83,14 @@ namespace internal {
 /// runs the outbox instead stays parked until the next delivery scatters it
 /// straight into the inbox arena.  Cache-line aligned so neighboring shards'
 /// counters never share a line.
+///
+/// An outbox record with `to == kNoNode` is a multicast: it goes to several
+/// neighbors of `from`, listed in `ranks` (one entry per multicast record,
+/// in log order) as the receiver count followed by the ascending neighbor
+/// ranks — no ranks when the count is the full degree.
 struct alignas(64) ShardState {
   std::vector<Message> outbox;
+  std::vector<std::uint32_t> ranks;
   std::vector<std::pair<std::uint64_t, NodeId>> wakeups;  // (delay, node)
   std::vector<SendEvent> events;  // populated only when an observer is attached
   std::uint64_t messages = 0;
@@ -156,6 +165,11 @@ inline NetworkConfig network_config(const EngineOptions& engine, std::uint64_t s
 
 class Network;
 
+/// The multicast filter that keeps every neighbor (a flood).
+struct AllNeighbors {
+  constexpr bool operator()(std::size_t /*rank*/, NodeId /*neighbor*/) const { return true; }
+};
+
 /// The DHC_SHARDS environment default applied when NetworkConfig::shards is
 /// left at 0 (absent/invalid → 1).  Exposed so the runner's thread-budget
 /// arbitration and the artifact headers agree with what the simulator runs.
@@ -182,9 +196,16 @@ class Context {
   void send(NodeId to, const Message& msg);
 
   /// Sends `msg` to neighbors()[rank].  Same semantics as send(), but O(1):
-  /// flood loops that already walk the neighbor span skip the per-message
+  /// callers holding a cached rank (tree edges) skip the per-message
   /// O(log deg) rank lookup.  Requires rank < degree().
   void send_to_rank(std::size_t rank, const Message& msg);
+
+  /// Sends `msg` to every neighbors()[i] for which keep(i, neighbors()[i])
+  /// holds, in ascending rank order, and returns the receiver count.
+  /// Observably identical to send_to_rank(i, msg) for each kept i, but the
+  /// shard log stores the message once, whatever the receiver count.
+  template <class Keep = AllNeighbors>
+  std::size_t multicast(const Message& msg, Keep keep = {});
 
   /// Arms a wake-up `delay` rounds from now (>= 1); the node's step() runs
   /// in that round even with an empty inbox.
@@ -320,8 +341,8 @@ class Network {
   /// delay wheel (or the far map) under round_ + latency.  With the reliable
   /// overlay engaged, the frame is seq-stamped and buffered for
   /// retransmission first.  Serial only: called from the shard-log merge,
-  /// never from inside a parallel section.
-  void enqueue_async(NodeId from, NodeId to, const Message& msg);
+  /// never from inside a parallel section.  `edge_id` is from → to.
+  void enqueue_async(NodeId from, NodeId to, std::size_t edge_id, const Message& msg);
   /// The transport tail of enqueue_async: link FIFO slot, drop decision,
   /// delay assignment, wheel filing (frame.msg.from/to already set).  Also
   /// carries the overlay's own traffic (retransmits, standalone acks), which
@@ -346,6 +367,16 @@ class Network {
   void send_ranked(ShardState& sh, NodeId from, std::size_t rank, const Message& msg);
   void commit_send(ShardState& sh, NodeId from, NodeId to, std::size_t edge_id,
                    const Message& msg);
+  template <class Keep>
+  std::size_t multicast_from(ShardState& sh, NodeId from, const Message& msg, Keep& keep);
+  /// Calls visit(msg, to, edge_id) for every message of `sh`'s log whose
+  /// receiver `to` lies in [lo, hi), in send order: a multicast record
+  /// expands in rank order at its place in the log.  edge_id is the
+  /// directed edge from → to, or kNoEdge for a unicast record (the caller
+  /// looks it up if it needs it).
+  template <class Visit>
+  void expand_log(const ShardState& sh, NodeId lo, NodeId hi, Visit&& visit) const;
+  static constexpr std::size_t kNoEdge = graph::Graph::kNoRank;
   [[noreturn]] void throw_non_neighbor(NodeId from, NodeId to) const;
   [[noreturn]] void throw_over_capacity(const ShardState& sh, NodeId from, NodeId to,
                                         const Message& msg) const;
@@ -408,8 +439,10 @@ class Network {
   std::vector<ShardState> shard_state_;        // shards_ logs; shard 0 also steps small rounds
   std::unique_ptr<support::WorkerPool> pool_;  // created on first sharded round
 
-  // Shard-profiling scratch for the flight recorder (filled by step_sharded
-  // only when a trace sink is attached; the RoundTrace spans point here).
+  // Whether the last stepped round ran on the pool (it then also gates the
+  // parallel scatter of that round's mail), and shard-profiling scratch for
+  // the flight recorder (filled by step_sharded only when a trace sink is
+  // attached; the RoundTrace spans point here).
   bool last_round_sharded_ = false;
   std::vector<std::uint64_t> trace_shard_wall_ns_;
   std::vector<std::uint32_t> trace_shard_active_;
@@ -422,10 +455,12 @@ class Network {
 // Inline hot path.  One Context::send is one neighbor-rank lookup, one edge
 // round-tag check, metric bumps, and a single 28-byte append to the shard's
 // log — no intermediate Message copies and no per-message allocation once
-// the log has warmed up.  The global counters and the receiver-side
-// bookkeeping go to the shard log and wait for the merge; everything the
-// send touches directly — the edge's round tag and node_messages_sent[from]
-// — is owned by the sending node and therefore by exactly one shard.
+// the log has warmed up.  A multicast is the same per receiver minus the
+// append: one record for all of them, plus a 4-byte rank each.  The global
+// counters and the receiver-side bookkeeping go to the shard log and wait
+// for the merge; everything the send touches directly — the edge's round
+// tag and node_messages_sent[from] — is owned by the sending node and
+// therefore by exactly one shard.
 // ---------------------------------------------------------------------------
 
 inline void Network::arm_wakeup(NodeId v, std::uint64_t delay) {
@@ -461,6 +496,44 @@ inline void Network::commit_send(ShardState& sh, NodeId from, NodeId to,
   slot.to = to;
 }
 
+template <class Keep>
+std::size_t Network::multicast_from(ShardState& sh, NodeId from, const Message& msg, Keep& keep) {
+  // Bulk commit_send over the sender's contiguous edge range: the per-edge
+  // round tags are checked and set one by one (so the capacity check stays
+  // exact), the counters are bumped once, and the log gets one record.
+  DHC_CHECK(msg.words <= kMaxWords, "message exceeds payload word limit");
+  const auto nb = graph_->neighbors(from);
+  std::uint64_t* const edge_round = edge_round_.data() + edge_offsets_[from];
+  const std::size_t header = sh.ranks.size();
+  sh.ranks.push_back(0);
+  for (std::size_t i = 0; i < nb.size(); ++i) {
+    if (!keep(i, nb[i])) continue;
+    if (faults_ == nullptr) {
+      if (edge_round[i] == round_) {
+        sh.ranks.resize(header);  // this record is not in the log yet
+        throw_over_capacity(sh, from, nb[i], msg);
+      }
+      edge_round[i] = round_;
+    }
+    sh.ranks.push_back(static_cast<std::uint32_t>(i));
+    if (cfg_.observer != nullptr) sh.events.push_back({from, nb[i], round_});
+  }
+  const std::size_t count = sh.ranks.size() - header - 1;
+  if (count == 0) {
+    sh.ranks.resize(header);
+    return 0;
+  }
+  sh.ranks[header] = static_cast<std::uint32_t>(count);
+  if (count == nb.size()) sh.ranks.resize(header + 1);  // every neighbor: ranks implicit
+  metrics_.node_messages_sent[from] += count;
+  sh.messages += count;
+  sh.bits += count * message_bits_for(msg.words, bits_per_word_);
+  Message& slot = sh.outbox.emplace_back(msg);
+  slot.from = from;
+  slot.to = kNoNode;
+  return count;
+}
+
 inline void Network::send_from(ShardState& sh, NodeId from, NodeId to, const Message& msg) {
   const std::size_t rank = graph_->neighbor_rank(from, to);
   if (rank == graph::Graph::kNoRank) throw_non_neighbor(from, to);
@@ -490,6 +563,11 @@ inline void Context::send(NodeId to, const Message& msg) {
 
 inline void Context::send_to_rank(std::size_t rank, const Message& msg) {
   net_.send_ranked(shard_, self_, rank, msg);
+}
+
+template <class Keep>
+std::size_t Context::multicast(const Message& msg, Keep keep) {
+  return net_.multicast_from(shard_, self_, msg, keep);
 }
 
 inline void Context::wake_in(std::uint64_t delay) {

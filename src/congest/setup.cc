@@ -95,20 +95,16 @@ void SetupComponent::step(Context& ctx) {
   }
 }
 
-// Sends one pre-built message to every same-group neighbor.  The message is
-// constructed once (not per neighbor) and sent by rank, and the group filter
-// is skipped entirely for single-group components — this loop carries the
+// Multicasts one message to every same-group neighbor; the group filter is
+// skipped entirely for single-group components.  This flood carries the
 // bulk of all simulated traffic (Share/Elect/BFS flooding).
 void SetupComponent::flood_group(Context& ctx, const Message& msg) const {
-  const auto nb = ctx.neighbors();
   if (!multi_group_) {
-    for (std::size_t i = 0; i < nb.size(); ++i) ctx.send_to_rank(i, msg);
+    ctx.multicast(msg);
     return;
   }
   const std::uint32_t group = group_of_[ctx.self()];
-  for (std::size_t i = 0; i < nb.size(); ++i) {
-    if (group_of_[nb[i]] == group) ctx.send_to_rank(i, msg);
-  }
+  ctx.multicast(msg, [&](std::size_t, NodeId w) { return group_of_[w] == group; });
 }
 
 void SetupComponent::start_phase(Context& ctx) {
@@ -117,9 +113,8 @@ void SetupComponent::start_phase(Context& ctx) {
     case Phase::kShare: {
       // Tell every physical neighbor which group we are in (paper Alg. 2
       // line 6: colors are local random choices, so neighbors must be told).
-      const Message msg = Message::make(tag_share(), {static_cast<std::int64_t>(group_of_[v])});
-      const std::size_t degree = ctx.degree();
-      for (std::size_t i = 0; i < degree; ++i) ctx.send_to_rank(i, msg);
+      const std::size_t degree =
+          ctx.multicast(Message::make(tag_share(), {static_cast<std::int64_t>(group_of_[v])}));
       // A node stores its neighbors' groups: one word per neighbor.
       ctx.charge_memory(static_cast<std::int64_t>(degree));
       break;

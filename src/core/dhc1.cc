@@ -193,9 +193,7 @@ class Dhc1Protocol : public congest::Protocol {
     } else if (stage_ == Stage::kAnnounceStage && stage_seen_[x] != 2) {
       stage_seen_[x] = 2;
       if (is_agent_[x] != 0 || is_partner_[x] != 0) {
-        const Message msg = Message::make(kAnnounce, {colors_[x]});
-        const std::size_t degree = ctx.degree();
-        for (std::size_t i = 0; i < degree; ++i) ctx.send_to_rank(i, msg);
+        ctx.multicast(Message::make(kAnnounce, {colors_[x]}));
       }
     } else if (stage_ == Stage::kCensus && stage_seen_[x] != 3) {
       stage_seen_[x] = 3;

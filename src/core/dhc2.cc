@@ -78,16 +78,11 @@ std::uint32_t MergeEngine::cur_color(NodeId x) const {
 bool MergeEngine::flood_same_color(NodeId v, NodeId w) const { return cur_color(v) == cur_color(w); }
 
 void MergeEngine::flood_color(Context& ctx, const Message& msg, NodeId exclude) {
-  // One pre-built message to every same-color neighbor (minus `exclude`):
-  // the candidate/renumber flood loops carry most of DHC2's traffic, so the
-  // own-color lookup is hoisted and sends go by rank (no per-message
-  // neighbor search).
+  // One multicast to every same-color neighbor (minus `exclude`): the
+  // candidate/renumber floods carry most of DHC2's traffic, so the own-color
+  // lookup is hoisted out of the filter.
   const std::uint32_t mine = cur_color(ctx.self());
-  const auto nb = ctx.neighbors();
-  for (std::size_t i = 0; i < nb.size(); ++i) {
-    const NodeId w = nb[i];
-    if (w != exclude && cur_color(w) == mine) ctx.send_to_rank(i, msg);
-  }
+  ctx.multicast(msg, [&](std::size_t, NodeId w) { return w != exclude && cur_color(w) == mine; });
 }
 
 void MergeEngine::start_level(Network& net) {
@@ -126,14 +121,8 @@ void MergeEngine::on_discovery_start(Context& ctx) {
   if ((mflags_[x] & kAlive) == 0 || succ_[x] == kNoNode) return;
   const std::uint32_t mine = cur_color(x);
   if (mine % 2 == 0) return;
-  const Message msg = Message::make(tag(kVerify), {succ_[x]});
-  const auto nb = ctx.neighbors();
-  for (std::size_t i = 0; i < nb.size(); ++i) {
-    if (cur_color(nb[i]) == mine + 1) {
-      ctx.send_to_rank(i, msg);
-      ++verify_messages_;
-    }
-  }
+  const auto partner = [&](std::size_t, NodeId w) { return cur_color(w) == mine + 1; };
+  verify_messages_ += ctx.multicast(Message::make(tag(kVerify), {succ_[x]}), partner);
 }
 
 void MergeEngine::on_build_start(Context& ctx) {

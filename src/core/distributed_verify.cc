@@ -54,10 +54,7 @@ class VerifyProtocol : public congest::Protocol {
           if (msg.tag == kAlarm && alarm_seen_[x] == 0) {
             alarm_seen_[x] = 1;
             alarm_raised_.store(true, std::memory_order_relaxed);
-            const auto nb = ctx.neighbors();
-            for (std::size_t i = 0; i < nb.size(); ++i) {
-              if (nb[i] != msg.from) ctx.send_to_rank(i, msg);
-            }
+            ctx.multicast(msg, [&](std::size_t, NodeId w) { return w != msg.from; });
           }
         }
         for (const Message& msg : ctx.inbox()) {
@@ -224,9 +221,7 @@ class VerifyProtocol : public congest::Protocol {
     }
     if (alarm_seen_[x] != 0) return;  // an alarm already passed through here
     alarm_seen_[x] = 1;
-    const Message msg = Message::make(kAlarm);
-    const std::size_t degree = ctx.degree();
-    for (std::size_t i = 0; i < degree; ++i) ctx.send_to_rank(i, msg);
+    ctx.multicast(Message::make(kAlarm));
   }
 
   /// Earliest alarm reason by (round, node id) — the sequential first-wins

@@ -95,11 +95,8 @@ void DraComponent::broadcast(Context& ctx, const Message& msg, NodeId exclude) {
   if (cfg_.broadcast == BroadcastMode::kTree) {
     setup_->forward_on_tree(ctx, msg, exclude);
   } else {
-    const auto nb = ctx.neighbors();
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      const NodeId w = nb[i];
-      if (w != exclude && setup_->same_group(v, w)) ctx.send_to_rank(i, msg);
-    }
+    ctx.multicast(msg,
+                  [&](std::size_t, NodeId w) { return w != exclude && setup_->same_group(v, w); });
   }
 }
 

@@ -240,10 +240,7 @@ class TurauProtocol : public congest::Protocol {
     if (path_active(tail_know_[v], head_know_[v], levels_run_)) return;
     // Passive tail: advertise to every neighbor; active heads pick targets
     // among the advertisements they hear.
-    const Message msg = Message::make(kAnnounce);
-    const std::size_t degree = ctx.degree();
-    for (std::size_t i = 0; i < degree; ++i) ctx.send_to_rank(i, msg);
-    ctx.charge_compute(degree);
+    ctx.charge_compute(ctx.multicast(Message::make(kAnnounce)));
   }
 
   void handle_inbox(Context& ctx) {

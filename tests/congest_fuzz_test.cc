@@ -5,7 +5,10 @@
 // send/wake-up schedules through the arena simulator and through a naive
 // reference delivery model (plain per-node queues, no arenas, no wheel) and
 // requires byte-identical inbox logs — delivery order, timing, and
-// round-skipping must match the definitionally-correct model.  Both suites
+// round-skipping must match the definitionally-correct model; its schedules
+// mix unicasts with multicasts (random keep predicates, including none and
+// every neighbor), which the reference expands into per-neighbor sends in
+// rank order.  Both suites
 // run at several shard counts (DESIGN.md §5): the sharded engine must match
 // the reference model byte for byte too, so the test protocols keep their
 // logs per node (self-indexed state, the discipline sharding requires) and
@@ -139,12 +142,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GossipFuzz,
 // --- differential fuzz: Network vs a naive reference delivery model --------
 
 // A node's action in a round is a pure function of (seed, node, round): which
-// neighbors to message, what payload, and how long to sleep.  Both the real
+// neighbors to message, with what, and how long to sleep.  Both the real
 // protocol below and the reference simulator evaluate this same function, so
 // any divergence in the logs is a delivery-model bug, not test noise.
+constexpr std::uint16_t kUnicastTag = 7;
+constexpr std::uint16_t kMulticastTag = 8;
+
 struct Plan {
-  std::vector<std::size_t> send_ranks;  // neighbor ranks to message
-  std::int64_t payload = 0;
+  // One send, in the order sent: a unicast to ranks[0], or a multicast to the
+  // ascending `ranks` (possibly none; `every` = all neighbors, sent with
+  // the default keep-all filter).
+  struct Send {
+    bool multicast = false;
+    bool every = false;
+    std::vector<std::size_t> ranks;
+    std::int64_t payload = 0;
+  };
+  std::vector<Send> sends;
   std::uint64_t wake_delay = 0;  // 0 = no wake-up
 };
 
@@ -154,10 +168,44 @@ Plan plan_for(std::uint64_t seed, graph::NodeId v, std::uint64_t round, std::siz
   if (round >= horizon) return plan;  // quiesce eventually
   std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (v + 1)) ^ (round << 20);
   std::uint64_t h = support::splitmix64(state);
-  plan.payload = static_cast<std::int64_t>(h & 0xffff);
-  for (std::size_t i = 0; i < degree; ++i) {
-    h = support::splitmix64(state);
-    if ((h & 3) == 0) plan.send_ranks.push_back(i);  // ~1/4 of neighbors
+  const auto payload = static_cast<std::int64_t>(h & 0xffff);
+  const std::uint64_t mode = (h >> 16) % 8;
+  if (mode == 0) {
+    // A flood: one multicast to every neighbor, nothing else fits.
+    Plan::Send all{true, true, {}, payload};
+    for (std::size_t i = 0; i < degree; ++i) all.ranks.push_back(i);
+    plan.sends.push_back(all);
+  } else {
+    // Each neighbor gets a unicast (~1/8), joins multicast A or B (~1/8
+    // each), or nothing; the sends interleave as: unicasts to the lower
+    // half of the ranks, A, the remaining unicasts, B.  Mode 1 adds a
+    // multicast that keeps no neighbor.
+    std::vector<std::size_t> unicasts;
+    Plan::Send a{true, false, {}, (payload + 1) & 0xffff};
+    Plan::Send b{true, false, {}, (payload + 2) & 0xffff};
+    for (std::size_t i = 0; i < degree; ++i) {
+      switch (support::splitmix64(state) % 8) {
+        case 0:
+          unicasts.push_back(i);
+          break;
+        case 1:
+          a.ranks.push_back(i);
+          break;
+        case 2:
+          b.ranks.push_back(i);
+          break;
+        default:
+          break;
+      }
+    }
+    if (mode == 1) plan.sends.push_back({true, false, {}, payload});
+    std::size_t u = 0;
+    for (; u < unicasts.size() && unicasts[u] < degree / 2; ++u) {
+      plan.sends.push_back({false, false, {unicasts[u]}, payload});
+    }
+    plan.sends.push_back(a);
+    for (; u < unicasts.size(); ++u) plan.sends.push_back({false, false, {unicasts[u]}, payload});
+    plan.sends.push_back(b);
   }
   h = support::splitmix64(state);
   switch (h % 5) {
@@ -181,7 +229,7 @@ Plan plan_for(std::uint64_t seed, graph::NodeId v, std::uint64_t round, std::siz
 class ScriptedProtocol : public Protocol {
  public:
   ScriptedProtocol(graph::NodeId n, std::uint64_t seed, std::uint64_t horizon)
-      : seed_(seed), horizon_(horizon), journal_(n) {}
+      : seed_(seed), horizon_(horizon), journal_(n), miscounts_(n, 0) {}
 
   void begin(Context& ctx) override {
     if (ctx.self() % 3 == 0) act(ctx);  // seeders; round() == 0 here
@@ -200,12 +248,32 @@ class ScriptedProtocol : public Protocol {
   /// Flattened journal in (round asc, node asc) order — the sequential log.
   std::string log() const { return journal_.flatten(); }
 
+  /// Multicasts whose returned receiver count differed from the plan's.
+  std::uint64_t miscounts() const {
+    std::uint64_t total = 0;
+    for (const auto m : miscounts_) total += m;
+    return total;
+  }
+
  private:
   void act(Context& ctx) {
     const Plan plan = plan_for(seed_, ctx.self(), ctx.round(), ctx.degree(), horizon_);
     const auto nb = ctx.neighbors();
-    for (const std::size_t rank : plan.send_ranks) {
-      ctx.send(nb[rank], Message::make(7, {plan.payload, static_cast<std::int64_t>(rank)}));
+    for (const Plan::Send& send : plan.sends) {
+      if (!send.multicast) {
+        const std::size_t rank = send.ranks[0];
+        ctx.send(nb[rank],
+                 Message::make(kUnicastTag, {send.payload, static_cast<std::int64_t>(rank)}));
+        continue;
+      }
+      const Message msg = Message::make(kMulticastTag, {send.payload});
+      const std::size_t sent =
+          send.every ? ctx.multicast(msg)
+                     : ctx.multicast(msg, [&](std::size_t i, graph::NodeId w) {
+                         return w == nb[i] &&
+                                std::binary_search(send.ranks.begin(), send.ranks.end(), i);
+                       });
+      if (sent != send.ranks.size()) miscounts_[ctx.self()] += 1;
     }
     if (plan.wake_delay != 0) ctx.wake_in(plan.wake_delay);
   }
@@ -213,6 +281,7 @@ class ScriptedProtocol : public Protocol {
   std::uint64_t seed_;
   std::uint64_t horizon_;
   testutil::PerNodeJournal journal_;
+  std::vector<std::uint64_t> miscounts_;  // per node (self-indexed)
 };
 
 // The reference model: plain per-round maps and per-node vectors, written
@@ -220,11 +289,11 @@ class ScriptedProtocol : public Protocol {
 // nodes run in ascending id order; per-node arrival order is global send
 // order; idle gaps are skipped but still numbered.
 std::string reference_run(const Graph& g, std::uint64_t seed, std::uint64_t horizon,
-                          std::uint64_t* rounds_out) {
+                          std::uint64_t* rounds_out, std::uint64_t* messages_out) {
   struct Pending {
     graph::NodeId from;
+    std::uint16_t tag;
     std::int64_t payload;
-    std::int64_t rank;
   };
   std::ostringstream log;
   std::map<std::uint64_t, std::map<graph::NodeId, std::vector<Pending>>> mail;
@@ -233,9 +302,13 @@ std::string reference_run(const Graph& g, std::uint64_t seed, std::uint64_t hori
   const auto act = [&](graph::NodeId v, std::uint64_t round) {
     const Plan plan = plan_for(seed, v, round, g.degree(v), horizon);
     const auto nb = g.neighbors(v);
-    for (const std::size_t rank : plan.send_ranks) {
-      mail[round + 1][nb[rank]].push_back(
-          {v, plan.payload, static_cast<std::int64_t>(rank)});
+    for (const Plan::Send& send : plan.sends) {
+      // A multicast is its per-neighbor sends, in rank order.
+      for (const std::size_t rank : send.ranks) {
+        mail[round + 1][nb[rank]].push_back(
+            {v, send.multicast ? kMulticastTag : kUnicastTag, send.payload});
+        ++*messages_out;
+      }
     }
     if (plan.wake_delay != 0) wake[round + plan.wake_delay].insert(v);
   };
@@ -264,7 +337,7 @@ std::string reference_run(const Graph& g, std::uint64_t seed, std::uint64_t hori
       if (mail_it != mail.end()) {
         if (const auto box = mail_it->second.find(v); box != mail_it->second.end()) {
           for (const auto& p : box->second) {
-            log << " (" << p.from << ",7," << p.payload << ")";
+            log << " (" << p.from << "," << p.tag << "," << p.payload << ")";
           }
         }
       }
@@ -295,12 +368,21 @@ TEST_P(DeliveryFuzz, MatchesNaiveReferenceModel) {
   const Metrics metrics = net.run(protocol);
 
   std::uint64_t ref_rounds = 0;
-  const std::string expected = reference_run(g, seed, horizon, &ref_rounds);
+  std::uint64_t ref_messages = 0;
+  const std::string expected = reference_run(g, seed, horizon, &ref_rounds, &ref_messages);
 
   EXPECT_EQ(protocol.log(), expected)
       << "arena delivery diverged from the reference model (seed " << seed << ", shards "
       << shards << ")";
   EXPECT_EQ(metrics.rounds, ref_rounds);
+  EXPECT_EQ(protocol.miscounts(), 0u);
+  EXPECT_EQ(metrics.messages, ref_messages);
+  std::uint64_t sent = 0;
+  std::uint64_t received = 0;
+  for (const auto x : metrics.node_messages_sent) sent += x;
+  for (const auto x : metrics.node_messages_received) received += x;
+  EXPECT_EQ(sent, ref_messages);
+  EXPECT_EQ(received, ref_messages);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeliveryFuzz,

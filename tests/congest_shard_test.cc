@@ -218,6 +218,53 @@ TEST(ShardEngine, CapacityViolationDiagnosticIdenticalWhenSharded) {
   EXPECT_EQ(run_and_catch(4), seq);
 }
 
+TEST(ShardEngine, MulticastCapacityViolationDiagnosticIdenticalWhenSharded) {
+  // Node 0 multicasts on every edge in a wide round, then sends again on
+  // rank 0: the diagnostic must name the multicast's tag as queued, and
+  // read the same whichever shard count stepped the round.
+  class FloodThenSend : public Protocol {
+   public:
+    void begin(Context& ctx) override {
+      if (ctx.self() == 0) ctx.wake_in(1);
+    }
+    void step(Context& ctx) override {
+      if (ctx.round() == 1 && ctx.self() == 0) {
+        ctx.multicast(Message::make(1));  // wakes every neighbor for round 2
+        ctx.wake_in(1);
+        return;
+      }
+      if (ctx.self() == 0) {
+        ctx.multicast(Message::make(4, {1}));
+        ctx.send_to_rank(0, Message::make(5, {2}));  // violates capacity 1
+      }
+    }
+  };
+
+  support::Rng grng(7);
+  const Graph g = graph::gnp(40, 0.5, grng);
+  ASSERT_GT(g.degree(0), 0u);
+  auto run_and_catch = [&](std::uint32_t shards) -> std::string {
+    NetworkConfig cfg;
+    cfg.seed = 1;
+    cfg.shards = shards;
+    cfg.shard_grain = 1;
+    Network net(g, cfg);
+    FloodThenSend protocol;
+    try {
+      net.run(protocol);
+    } catch (const CongestViolation& e) {
+      return e.what();
+    }
+    return "<no violation>";
+  };
+  const std::string seq = run_and_catch(1);
+  EXPECT_EQ(seq, "edge (0→" + std::to_string(g.neighbors(0)[0]) +
+                     ") over capacity in round 2: CONGEST allows 1 message(s) per edge per "
+                     "round (new tag 5, queued tags: 4)");
+  EXPECT_EQ(run_and_catch(2), seq);
+  EXPECT_EQ(run_and_catch(4), seq);
+}
+
 // Sends of a sharded synchronous round stay parked in the shard logs until
 // the next delivery scatters them.  Every check that asks "is mail in
 // flight?" must count them: the quiescence test, the round advance (node 0
