@@ -230,4 +230,14 @@ std::uint64_t FaultPlan::crash_rejoin_round() const {
   return crash_.start + crash_.duration;
 }
 
+std::uint64_t derive_fault_seed(std::uint64_t algo_seed) {
+  // Same word-absorption chain as the runner's derive_seed(): absorb a salt
+  // so the fault stream never aliases the protocol's own seed.
+  std::uint64_t state = algo_seed;
+  std::uint64_t h = support::splitmix64(state);
+  state ^= 0xfa5e17ull;
+  h ^= support::splitmix64(state);
+  return h;
+}
+
 }  // namespace dhc::congest

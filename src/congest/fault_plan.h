@@ -118,7 +118,7 @@ class FaultPlan {
 
   /// Reliable-delivery overlay riding on this plan (congest/reliable.h).
   /// Carried here — rather than through every solver's config — because the
-  /// plan already travels the whole algorithm-adapter path into the Network.
+  /// plan already travels in the solver's EngineOptions into the Network.
   /// The overlay consumes none of the hash streams above, so setting it
   /// never perturbs the drop/delay/crash decisions (paired runs stay
   /// paired).
@@ -138,5 +138,10 @@ class FaultPlan {
   ReliabilitySpec reliability_;
   RtoSpec rto_;
 };
+
+/// The fault seed of a trial whose protocol runs from `algo_seed`: a salted
+/// splitmix64 chain over it, so protocol randomness and fault randomness
+/// never alias, yet the fault stream is pinned by the trial.
+std::uint64_t derive_fault_seed(std::uint64_t algo_seed);
 
 }  // namespace dhc::congest

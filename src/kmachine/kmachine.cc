@@ -69,44 +69,16 @@ std::uint64_t KMachineCost::kmachine_rounds() const {
   return rounds_accum_ + (busiest > 0 ? (busiest + bandwidth_ - 1) / bandwidth_ : 0);
 }
 
-namespace {
-
-/// Shared shape of every adapter: copy the base config, let the backend
-/// control the observer, shard, and fault knobs, call the solver's entry
-/// point.
-template <class Config, class RunFn>
-CongestAlgorithm make_adapter(Config base, RunFn run) {
-  return [base = std::move(base), run](const graph::Graph& g, std::uint64_t seed,
-                                       congest::MessageObserver* observer,
-                                       std::uint32_t shards, const congest::FaultPlan* faults) {
-    Config cfg = base;
+CongestAlgorithm dhc2_algorithm(core::Dhc2Config base) {
+  return [base = std::move(base)](const graph::Graph& g, std::uint64_t seed,
+                                  congest::MessageObserver* observer, std::uint32_t shards,
+                                  const congest::FaultPlan* faults) {
+    core::Dhc2Config cfg = base;
     cfg.observer = observer;
     cfg.shards = shards;
     cfg.faults = faults;
-    return run(g, seed, cfg);
+    return core::run_dhc2(g, seed, cfg);
   };
-}
-
-}  // namespace
-
-CongestAlgorithm dra_algorithm(core::DraConfig base) {
-  return make_adapter(std::move(base), core::run_dra);
-}
-
-CongestAlgorithm dhc1_algorithm(core::Dhc1Config base) {
-  return make_adapter(std::move(base), core::run_dhc1);
-}
-
-CongestAlgorithm dhc2_algorithm(core::Dhc2Config base) {
-  return make_adapter(std::move(base), core::run_dhc2);
-}
-
-CongestAlgorithm turau_algorithm(core::TurauConfig base) {
-  return make_adapter(std::move(base), core::run_turau);
-}
-
-CongestAlgorithm upcast_algorithm(core::UpcastConfig base) {
-  return make_adapter(std::move(base), core::run_upcast);
 }
 
 }  // namespace dhc::kmachine

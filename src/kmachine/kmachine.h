@@ -13,8 +13,8 @@
 // protocol run (congest::EngineOptions::observer) and read the converted
 // round count at any time, including mid-run: pricing is a pure read of the
 // current state, never a mutation (see kmachine_rounds()).  The runner
-// attaches one to every trial under `model = kmachine`; the CongestAlgorithm
-// adapters below run any registered algorithm with an observer attached.
+// attaches one to every trial under `model = kmachine` by setting it as the
+// observer of the solver's `run_*` call.
 //
 // The paper's claim — "our fully-distributed algorithms can be used to
 // obtain efficient algorithms in the k-machine model" — is runnable for
@@ -28,12 +28,8 @@
 #include <vector>
 
 #include "congest/network.h"
-#include "core/dhc1.h"
 #include "core/dhc2.h"
-#include "core/dra.h"
 #include "core/result.h"
-#include "core/turau.h"
-#include "core/upcast.h"
 #include "graph/graph.h"
 #include "support/rng.h"
 
@@ -105,24 +101,18 @@ class KMachineCost : public congest::MessageObserver {
   congest::TraceSink* trace_ = nullptr;
 };
 
-/// An algorithm the backend can drive: run a CONGEST protocol over `g` from
-/// `seed` with `observer` attached, `shards` simulator shards (0 = the
-/// DHC_SHARDS environment default; bitwise-neutral), and an optional fault
-/// plan (nullptr = synchronous; non-null switches the simulator to the async
-/// delivery regime — the `--model=async` backend), returning the solver's
-/// Result.  The adapters below wrap the registered algorithms; any lambda
-/// with this shape works too.
+/// A solver call with the engine's attachments as arguments: run a CONGEST
+/// protocol over `g` from `seed` with `observer` attached, `shards`
+/// simulator shards (0 = the DHC_SHARDS environment default;
+/// bitwise-neutral) and an optional fault plan (nullptr = synchronous).
+/// async::run_async takes one; callers elsewhere call `core::run_*` with
+/// the attachments in the config's EngineOptions.
 using CongestAlgorithm = std::function<core::Result(
     const graph::Graph& g, std::uint64_t seed, congest::MessageObserver* observer,
     std::uint32_t shards, const congest::FaultPlan* faults)>;
 
-/// Adapters for the registered CONGEST algorithms.  Each captures a base
-/// config and overwrites its engine options' backend-controlled knobs
-/// (observer, shards, faults) per call; trace stays the base's.
-CongestAlgorithm dra_algorithm(core::DraConfig base = {});
-CongestAlgorithm dhc1_algorithm(core::Dhc1Config base = {});
+/// core::run_dhc2 with `base` as the config and (observer, shards, faults)
+/// taken per call; trace stays the base's.
 CongestAlgorithm dhc2_algorithm(core::Dhc2Config base = {});
-CongestAlgorithm turau_algorithm(core::TurauConfig base = {});
-CongestAlgorithm upcast_algorithm(core::UpcastConfig base = {});
 
 }  // namespace dhc::kmachine

@@ -9,7 +9,6 @@
 
 #include <sys/resource.h>
 
-#include "async/async.h"
 #include "congest/fault_plan.h"
 #include "core/dhc1.h"
 #include "core/dhc2.h"
@@ -143,35 +142,33 @@ void run_oracle(TrialResult& out, const graph::Graph& g, const TrialConfig& t, b
   }
 }
 
-// Maps a TrialConfig to the adapter that runs its CONGEST solver — the
-// single place scenario parameters are forwarded into solver configs, so
-// the same cell under different execution models can never drift apart.
-// The adapter overwrites only (observer, shards, faults) per call, so the
-// trace sink and node-stats mode ride in the base config's engine options.
-kmachine::CongestAlgorithm congest_algorithm_for(const TrialConfig& t,
-                                                 const congest::EngineOptions& engine) {
+// Runs t's CONGEST solver with `engine` as its engine options — the single
+// place scenario parameters are forwarded into solver configs, so the same
+// cell under different execution models can never drift apart.
+core::Result run_solver(const graph::Graph& g, const TrialConfig& t,
+                        const congest::EngineOptions& engine) {
   const auto with_engine = [&](auto cfg) {
     static_cast<congest::EngineOptions&>(cfg) = engine;
     return cfg;
   };
   switch (t.algo) {
     case Algorithm::kDra:
-      return kmachine::dra_algorithm(with_engine(core::DraConfig{}));
+      return core::run_dra(g, t.algo_seed, with_engine(core::DraConfig{}));
     case Algorithm::kDhc1:
-      return kmachine::dhc1_algorithm(with_engine(core::Dhc1Config{}));
+      return core::run_dhc1(g, t.algo_seed, with_engine(core::Dhc1Config{}));
     case Algorithm::kDhc2: {
       core::Dhc2Config cfg = with_engine(core::Dhc2Config{});
       cfg.delta = t.delta;
       cfg.merge_strategy = t.merge;
-      return kmachine::dhc2_algorithm(cfg);
+      return core::run_dhc2(g, t.algo_seed, cfg);
     }
     case Algorithm::kTurau:
-      return kmachine::turau_algorithm(with_engine(core::TurauConfig{}));
+      return core::run_turau(g, t.algo_seed, with_engine(core::TurauConfig{}));
     case Algorithm::kUpcast:
     case Algorithm::kCollectAll: {
       core::UpcastConfig cfg = with_engine(core::UpcastConfig{});
       cfg.collect_all = t.algo == Algorithm::kCollectAll;
-      return kmachine::upcast_algorithm(cfg);
+      return core::run_upcast(g, t.algo_seed, cfg);
     }
     case Algorithm::kSequential:
     case Algorithm::kCre:
@@ -185,8 +182,8 @@ kmachine::CongestAlgorithm congest_algorithm_for(const TrialConfig& t,
 // solver call, never a separate path: model = kmachine attaches a
 // KMachineCost observer (src/kmachine: a random vertex partition over
 // t.machines machines seeded from algo_seed, per-link bandwidth
-// t.bandwidth), model = async passes a FaultPlan (src/async: seed-
-// deterministic delays, drops, crash windows, optional ack overlay), and
+// t.bandwidth), model = async passes a FaultPlan (congest/fault_plan.h:
+// seed-deterministic delays, drops, crash windows, optional ack overlay), and
 // model = congest attaches neither.  Each attachment adds its own stats
 // columns, read from the solver's Metrics and the attachment itself.
 void run_congest(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
@@ -200,7 +197,7 @@ void run_congest(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
   if (t.model == ExecutionModel::kAsync) {
     plan.emplace(congest::DelaySpec::parse(t.delay_dist), t.drop_prob,
                  congest::CrashSpec::parse(t.crash_schedule),
-                 async::derive_fault_seed(t.algo_seed), t.max_rounds);
+                 congest::derive_fault_seed(t.algo_seed), t.max_rounds);
     plan->set_reliability(congest::ReliabilitySpec::parse(t.reliability),
                           t.rto.empty() ? congest::RtoSpec{} : congest::RtoSpec::parse(t.rto));
   }
@@ -210,8 +207,7 @@ void run_congest(TrialResult& out, const graph::Graph& g, const TrialConfig& t,
   engine.shards = opt.shards;
   engine.faults = plan ? &*plan : nullptr;
   engine.trace = rec;
-  core::Result r = congest_algorithm_for(t, engine)(g, t.algo_seed, engine.observer,
-                                                    engine.shards, engine.faults);
+  core::Result r = run_solver(g, t, engine);
   if (cost) cost->finish();
   if (rec != nullptr) rec->finalize(r.metrics);
   fill_from_result(out, r);

@@ -1,14 +1,17 @@
-// End-to-end tests for the async execution backend (--model=async):
-// equivalence with the synchronous schedule at latency 1, golden-seed
+// End-to-end tests for the async execution model (--model=async): a
+// congest::FaultPlan in the `faults` slot of each solver's `run_*` call.
+// Equivalence with the synchronous schedule at latency 1, golden-seed
 // determinism per solver under delays + drops, shard invariance of the
-// faulted engine, graceful crash behaviour, and the runner/artifact
-// integration (fault axes, paired seeds, async stats columns).
+// faulted engine, graceful crash behaviour, the run_async shim, and the
+// runner/artifact integration (fault axes, paired seeds, async stats
+// columns).
 #include "async/async.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -16,98 +19,119 @@
 #include "runner/aggregator.h"
 #include "runner/scenario.h"
 #include "runner/trial_runner.h"
+#include "solver_table.h"
 
 namespace dhc::async {
 namespace {
 
 using graph::Graph;
-
-struct Solver {
-  const char* name;
-  kmachine::CongestAlgorithm algo;
-};
-
-/// The five registered CONGEST solvers, by their runner names.
-std::vector<Solver> solvers() {
-  return {{"dra", kmachine::dra_algorithm()},
-          {"dhc1", kmachine::dhc1_algorithm()},
-          {"dhc2", kmachine::dhc2_algorithm()},
-          {"turau", kmachine::turau_algorithm()},
-          {"upcast", kmachine::upcast_algorithm()}};
-}
+using testutil::kSolvers;
+using testutil::Solver;
+using testutil::solver;
 
 Graph test_instance(graph::NodeId n, std::uint64_t seed) {
   support::Rng rng(seed);
   return graph::gnp(n, graph::edge_probability(n, 2.5, 0.5), rng);
 }
 
-void expect_outcomes_equal(const AsyncOutcome& a, const AsyncOutcome& b, const char* what) {
-  EXPECT_EQ(a.report.success, b.report.success) << what;
-  EXPECT_EQ(a.report.rounds, b.report.rounds) << what;
-  EXPECT_EQ(a.report.messages, b.report.messages) << what;
-  EXPECT_EQ(a.report.delayed_messages, b.report.delayed_messages) << what;
-  EXPECT_EQ(a.report.dropped_messages, b.report.dropped_messages) << what;
-  EXPECT_EQ(a.report.crash_dropped_messages, b.report.crash_dropped_messages) << what;
-  EXPECT_EQ(a.report.crashed_steps, b.report.crashed_steps) << what;
-  EXPECT_EQ(a.report.crashed_rejoins, b.report.crashed_rejoins) << what;
-  EXPECT_EQ(a.report.retransmits, b.report.retransmits) << what;
-  EXPECT_EQ(a.report.dup_suppressed, b.report.dup_suppressed) << what;
-  EXPECT_EQ(a.report.acks_sent, b.report.acks_sent) << what;
-  EXPECT_EQ(a.report.payload_messages, b.report.payload_messages) << what;
-  EXPECT_EQ(a.report.hit_round_limit, b.report.hit_round_limit) << what;
-  EXPECT_EQ(a.report.round_limit_live, b.report.round_limit_live) << what;
-  EXPECT_EQ(a.result.metrics.bits, b.result.metrics.bits) << what;
-  EXPECT_EQ(a.result.metrics.node_messages_sent, b.result.metrics.node_messages_sent) << what;
-  EXPECT_EQ(a.result.metrics.node_messages_received, b.result.metrics.node_messages_received)
-      << what;
-  EXPECT_EQ(a.result.stats, b.result.stats) << what;
-  EXPECT_EQ(a.result.failure_reason, b.result.failure_reason) << what;
-  EXPECT_EQ(a.result.cycle.neighbors_of, b.result.cycle.neighbors_of) << what;
+/// The fault plan of a run from `seed`, with its fault seed derived the way
+/// the runner derives it.
+congest::FaultPlan fault_plan(std::uint64_t seed, const char* delay, double drop_prob,
+                              std::uint64_t max_rounds, const char* reliability = "none",
+                              const char* crash = "none") {
+  congest::FaultPlan plan(congest::DelaySpec::parse(delay), drop_prob,
+                          congest::CrashSpec::parse(crash), congest::derive_fault_seed(seed),
+                          max_rounds);
+  plan.set_reliability(congest::ReliabilitySpec::parse(reliability), congest::RtoSpec{});
+  return plan;
 }
 
-TEST(AsyncBackend, DeriveFaultSeedIsStableAndSalted) {
-  EXPECT_EQ(derive_fault_seed(5), derive_fault_seed(5));
-  EXPECT_NE(derive_fault_seed(5), 5u);
-  EXPECT_NE(derive_fault_seed(5), derive_fault_seed(6));
+/// Runs `s` from `seed` on `g` under `plan` with `shards` simulator shards.
+core::Result run_faulted(const Solver& s, const Graph& g, std::uint64_t seed,
+                         const congest::FaultPlan& plan, std::uint32_t shards = 0) {
+  congest::EngineOptions engine;
+  engine.faults = &plan;
+  engine.shards = shards;
+  return s.run(g, seed, engine);
+}
+
+/// Shards even sparse rounds (DHC_SHARD_GRAIN=1, as the CI shard matrix
+/// does) for its lifetime, then restores the caller's setting, so a sharded
+/// rerun of this binary keeps grain 1 for the tests that follow.
+class ForceShardGrainOne {
+ public:
+  ForceShardGrainOne() {
+    if (const char* old = std::getenv("DHC_SHARD_GRAIN")) old_ = old;
+    setenv("DHC_SHARD_GRAIN", "1", 1);
+  }
+  ~ForceShardGrainOne() {
+    if (old_.empty()) {
+      unsetenv("DHC_SHARD_GRAIN");
+    } else {
+      setenv("DHC_SHARD_GRAIN", old_.c_str(), 1);
+    }
+  }
+
+ private:
+  std::string old_;
+};
+
+void expect_results_equal(const core::Result& a, const core::Result& b, const char* what) {
+  const congest::Metrics& am = a.metrics;
+  const congest::Metrics& bm = b.metrics;
+  EXPECT_EQ(a.success, b.success) << what;
+  EXPECT_EQ(am.rounds, bm.rounds) << what;
+  EXPECT_EQ(am.messages, bm.messages) << what;
+  EXPECT_EQ(am.delayed_messages, bm.delayed_messages) << what;
+  EXPECT_EQ(am.dropped_messages, bm.dropped_messages) << what;
+  EXPECT_EQ(am.crash_dropped_messages, bm.crash_dropped_messages) << what;
+  EXPECT_EQ(am.crashed_steps, bm.crashed_steps) << what;
+  EXPECT_EQ(am.crashed_rejoins, bm.crashed_rejoins) << what;
+  EXPECT_EQ(am.retransmits, bm.retransmits) << what;
+  EXPECT_EQ(am.dup_suppressed, bm.dup_suppressed) << what;
+  EXPECT_EQ(am.acks_sent, bm.acks_sent) << what;
+  EXPECT_EQ(am.payload_messages(), bm.payload_messages()) << what;
+  EXPECT_EQ(am.hit_round_limit, bm.hit_round_limit) << what;
+  EXPECT_EQ(am.round_limit_live, bm.round_limit_live) << what;
+  EXPECT_EQ(am.bits, bm.bits) << what;
+  EXPECT_EQ(am.node_messages_sent, bm.node_messages_sent) << what;
+  EXPECT_EQ(am.node_messages_received, bm.node_messages_received) << what;
+  EXPECT_EQ(a.stats, b.stats) << what;
+  EXPECT_EQ(a.failure_reason, b.failure_reason) << what;
+  EXPECT_EQ(a.cycle.neighbors_of, b.cycle.neighbors_of) << what;
 }
 
 TEST(AsyncBackend, LatencyOneMatchesTheSynchronousRunBitwise) {
   // delay = fixed:1, no drops, no crashes *is* the synchronous schedule; the
   // async machinery must reproduce the plain run exactly, for every solver.
   const Graph g = test_instance(256, 41);
-  for (const auto& [name, algo] : solvers()) {
-    auto plain = algo(g, /*seed=*/7, nullptr, /*shards=*/0, /*faults=*/nullptr);
+  const congest::FaultPlan plan = fault_plan(/*seed=*/7, "fixed:1", 0.0, /*max_rounds=*/0);
+  for (const Solver& s : kSolvers) {
+    const core::Result plain = s.run(g, /*seed=*/7, congest::EngineOptions{});
+    const core::Result faulted = run_faulted(s, g, /*seed=*/7, plan);
 
-    AsyncConfig cfg;
-    cfg.delay = congest::DelaySpec::parse("fixed:1");
-    const AsyncOutcome faulted = run_async(algo, g, /*seed=*/7, cfg);
-
-    EXPECT_EQ(faulted.report.delayed_messages, 0u) << name;
-    EXPECT_EQ(faulted.report.dropped_messages, 0u) << name;
-    EXPECT_EQ(faulted.result.success, plain.success) << name;
-    EXPECT_EQ(faulted.report.rounds, plain.metrics.rounds) << name;
-    EXPECT_EQ(faulted.report.messages, plain.metrics.messages) << name;
-    EXPECT_EQ(faulted.result.metrics.bits, plain.metrics.bits) << name;
-    EXPECT_EQ(faulted.result.metrics.node_messages_received,
-              plain.metrics.node_messages_received)
-        << name;
-    EXPECT_EQ(faulted.result.stats, plain.stats) << name;
-    EXPECT_EQ(faulted.result.cycle.neighbors_of, plain.cycle.neighbors_of) << name;
+    EXPECT_EQ(faulted.metrics.delayed_messages, 0u) << s.name;
+    EXPECT_EQ(faulted.metrics.dropped_messages, 0u) << s.name;
+    EXPECT_EQ(faulted.success, plain.success) << s.name;
+    EXPECT_EQ(faulted.metrics.rounds, plain.metrics.rounds) << s.name;
+    EXPECT_EQ(faulted.metrics.messages, plain.metrics.messages) << s.name;
+    EXPECT_EQ(faulted.metrics.bits, plain.metrics.bits) << s.name;
+    EXPECT_EQ(faulted.metrics.node_messages_received, plain.metrics.node_messages_received)
+        << s.name;
+    EXPECT_EQ(faulted.stats, plain.stats) << s.name;
+    EXPECT_EQ(faulted.cycle.neighbors_of, plain.cycle.neighbors_of) << s.name;
   }
 }
 
 TEST(AsyncBackend, GoldenSeedDeterminismPerSolverUnderDelaysAndDrops) {
   const Graph g = test_instance(192, 23);
-  AsyncConfig cfg;
-  cfg.delay = congest::DelaySpec::parse("uniform:1:4");
-  cfg.drop_prob = 0.01;
-  cfg.max_rounds = 200000;
-  for (const auto& [name, algo] : solvers()) {
-    const AsyncOutcome first = run_async(algo, g, /*seed=*/11, cfg);
-    const AsyncOutcome again = run_async(algo, g, /*seed=*/11, cfg);
-    expect_outcomes_equal(first, again, name);
+  const congest::FaultPlan plan = fault_plan(/*seed=*/11, "uniform:1:4", 0.01, 200000);
+  for (const Solver& s : kSolvers) {
+    const core::Result first = run_faulted(s, g, /*seed=*/11, plan);
+    const core::Result again = run_faulted(s, g, /*seed=*/11, plan);
+    expect_results_equal(first, again, s.name);
     // The run did experience faults (otherwise the test is vacuous).
-    EXPECT_GT(first.report.delayed_messages, 0u) << name;
+    EXPECT_GT(first.metrics.delayed_messages, 0u) << s.name;
   }
 }
 
@@ -115,39 +139,31 @@ TEST(AsyncBackend, ShardCountIsBitwiseNeutralUnderFaults) {
   // Force the sharded engine on even for small rounds, as the CI shard
   // matrix does; the per-message fault decisions are pure hashes, so the
   // serial shard merge must replay the sequential decisions exactly.
-  setenv("DHC_SHARD_GRAIN", "1", 1);
+  const ForceShardGrainOne grain;
   const Graph g = test_instance(160, 57);
-  AsyncConfig cfg;
-  cfg.delay = congest::DelaySpec::parse("uniform:1:3");
-  cfg.drop_prob = 0.02;
-  cfg.max_rounds = 200000;
-  for (const auto& [name, algo] : std::vector<Solver>{{"dhc2", kmachine::dhc2_algorithm()},
-                                                       {"turau", kmachine::turau_algorithm()},
-                                                       {"upcast", kmachine::upcast_algorithm()}}) {
-    cfg.shards = 1;
-    const AsyncOutcome base = run_async(algo, g, /*seed=*/29, cfg);
+  const congest::FaultPlan plan = fault_plan(/*seed=*/29, "uniform:1:3", 0.02, 200000);
+  for (const char* name : {"dhc2", "turau", "upcast"}) {
+    const Solver& s = solver(name);
+    const core::Result base = run_faulted(s, g, /*seed=*/29, plan, /*shards=*/1);
     for (const std::uint32_t shards : {2u, 4u}) {
-      cfg.shards = shards;
-      const AsyncOutcome sharded = run_async(algo, g, /*seed=*/29, cfg);
-      expect_outcomes_equal(base, sharded,
-                            (std::string(name) + " shards=" + std::to_string(shards)).c_str());
+      const core::Result sharded = run_faulted(s, g, /*seed=*/29, plan, shards);
+      expect_results_equal(base, sharded,
+                           (std::string(name) + " shards=" + std::to_string(shards)).c_str());
     }
   }
-  unsetenv("DHC_SHARD_GRAIN");
 }
 
 TEST(AsyncBackend, MassCrashFailsGracefullyInsteadOfHanging) {
   // More than half the nodes crash early and never rejoin within any
-  // plausible run: the protocol cannot finish, and the backend must turn
+  // plausible run: the protocol cannot finish, and the engine must turn
   // that into reporting (hit_round_limit or a clean failure), not a hang.
   const Graph g = test_instance(128, 3);
-  AsyncConfig cfg;
-  cfg.crash = congest::CrashSpec::parse("random:0.6:2:100000000");
-  cfg.max_rounds = 2000;
-  const AsyncOutcome out = run_async(kmachine::dhc2_algorithm(), g, /*seed=*/5, cfg);
-  EXPECT_FALSE(out.report.success);
-  EXPECT_GT(out.report.crashed_nodes, 0u);
-  EXPECT_TRUE(out.report.hit_round_limit || !out.result.failure_reason.empty());
+  const congest::FaultPlan plan =
+      fault_plan(/*seed=*/5, "none", 0.0, /*max_rounds=*/2000, "none", "random:0.6:2:100000000");
+  const core::Result out = run_faulted(solver("dhc2"), g, /*seed=*/5, plan);
+  EXPECT_FALSE(out.success);
+  EXPECT_GT(plan.crashed_node_count(g.n()), 0u);
+  EXPECT_TRUE(out.metrics.hit_round_limit || !out.failure_reason.empty());
 }
 
 // --- reliable-delivery overlay (reliability=ack) ---------------------------
@@ -156,20 +172,16 @@ TEST(AsyncReliable, AckWithNoLossIsBitwiseIdenticalToNone) {
   // The overlay only engages when the plan can actually lose messages, so a
   // lossless ack run must reproduce the none run exactly — for every solver.
   const Graph g = test_instance(128, 17);
-  AsyncConfig cfg;
-  cfg.delay = congest::DelaySpec::parse("fixed:2");
-  cfg.max_rounds = 200000;
-  for (const auto& [name, algo] : solvers()) {
-    const AsyncOutcome none = run_async(algo, g, /*seed=*/13, cfg);
+  const congest::FaultPlan none_plan = fault_plan(/*seed=*/13, "fixed:2", 0.0, 200000);
+  const congest::FaultPlan ack_plan = fault_plan(/*seed=*/13, "fixed:2", 0.0, 200000, "ack");
+  for (const Solver& s : kSolvers) {
+    const core::Result none = run_faulted(s, g, /*seed=*/13, none_plan);
+    const core::Result ack = run_faulted(s, g, /*seed=*/13, ack_plan);
 
-    AsyncConfig ack_cfg = cfg;
-    ack_cfg.reliability = congest::ReliabilitySpec::parse("ack");
-    const AsyncOutcome ack = run_async(algo, g, /*seed=*/13, ack_cfg);
-
-    EXPECT_EQ(ack.report.retransmits, 0u) << name;
-    EXPECT_EQ(ack.report.acks_sent, 0u) << name;
-    EXPECT_EQ(ack.report.dup_suppressed, 0u) << name;
-    expect_outcomes_equal(none, ack, name);
+    EXPECT_EQ(ack.metrics.retransmits, 0u) << s.name;
+    EXPECT_EQ(ack.metrics.acks_sent, 0u) << s.name;
+    EXPECT_EQ(ack.metrics.dup_suppressed, 0u) << s.name;
+    expect_results_equal(none, ack, s.name);
   }
 }
 
@@ -178,50 +190,68 @@ TEST(AsyncReliable, AckOverlayDeliversWhereNoneStalls) {
   // model cannot finish (no solver re-sends), while the overlay retransmits
   // its way through and the verified cycle comes out intact.
   const Graph g = test_instance(128, 61);
-  AsyncConfig cfg;
-  cfg.delay = congest::DelaySpec::parse("fixed:1");
-  cfg.drop_prob = 0.02;
-  cfg.max_rounds = 200000;
-  const auto algo = kmachine::dhc2_algorithm();
+  const Solver& dhc2 = solver("dhc2");
 
-  const AsyncOutcome bare = run_async(algo, g, /*seed=*/3, cfg);
-  EXPECT_FALSE(bare.report.success);
+  const core::Result bare =
+      run_faulted(dhc2, g, /*seed=*/3, fault_plan(/*seed=*/3, "fixed:1", 0.02, 200000));
+  EXPECT_FALSE(bare.success);
 
-  cfg.reliability = congest::ReliabilitySpec::parse("ack");
-  const AsyncOutcome ack = run_async(algo, g, /*seed=*/3, cfg);
-  EXPECT_TRUE(ack.report.success) << ack.result.failure_reason;
-  EXPECT_GT(ack.report.retransmits, 0u);
-  EXPECT_EQ(ack.report.payload_messages,
-            ack.report.messages - ack.report.retransmits - ack.report.acks_sent);
+  const congest::FaultPlan plan = fault_plan(/*seed=*/3, "fixed:1", 0.02, 200000, "ack");
+  const core::Result ack = run_faulted(dhc2, g, /*seed=*/3, plan);
+  EXPECT_TRUE(ack.success) << ack.failure_reason;
+  EXPECT_GT(ack.metrics.retransmits, 0u);
+  EXPECT_EQ(ack.metrics.payload_messages(),
+            ack.metrics.messages - ack.metrics.retransmits - ack.metrics.acks_sent);
 
   // Golden-seed determinism over the retransmission paths: same config,
   // same seeds, bitwise-equal outcome.
-  const AsyncOutcome again = run_async(algo, g, /*seed=*/3, cfg);
-  expect_outcomes_equal(ack, again, "ack rerun");
+  const core::Result again = run_faulted(dhc2, g, /*seed=*/3, plan);
+  expect_results_equal(ack, again, "ack rerun");
 }
 
 TEST(AsyncReliable, AckShardInvarianceUnderDrops) {
   // The overlay's bookkeeping all runs on the engine's serial paths, so the
   // retransmit/ack schedule must be bitwise shard-invariant like everything
   // else — forced-sharded via DHC_SHARD_GRAIN as in the CI matrix.
-  setenv("DHC_SHARD_GRAIN", "1", 1);
+  const ForceShardGrainOne grain;
   const Graph g = test_instance(128, 61);
-  AsyncConfig cfg;
-  cfg.delay = congest::DelaySpec::parse("fixed:1");
-  cfg.drop_prob = 0.02;
-  cfg.max_rounds = 200000;
-  cfg.reliability = congest::ReliabilitySpec::parse("ack");
-  const auto algo = kmachine::dhc2_algorithm();
-  cfg.shards = 1;
-  const AsyncOutcome base = run_async(algo, g, /*seed=*/3, cfg);
-  EXPECT_GT(base.report.retransmits, 0u);
+  const congest::FaultPlan plan = fault_plan(/*seed=*/3, "fixed:1", 0.02, 200000, "ack");
+  const Solver& dhc2 = solver("dhc2");
+  const core::Result base = run_faulted(dhc2, g, /*seed=*/3, plan, /*shards=*/1);
+  EXPECT_GT(base.metrics.retransmits, 0u);
   for (const std::uint32_t shards : {2u, 4u}) {
-    cfg.shards = shards;
-    const AsyncOutcome sharded = run_async(algo, g, /*seed=*/3, cfg);
-    expect_outcomes_equal(base, sharded,
-                          ("ack shards=" + std::to_string(shards)).c_str());
+    const core::Result sharded = run_faulted(dhc2, g, /*seed=*/3, plan, shards);
+    expect_results_equal(base, sharded, ("ack shards=" + std::to_string(shards)).c_str());
   }
-  unsetenv("DHC_SHARD_GRAIN");
+}
+
+// --- the run_async shim ----------------------------------------------------
+
+TEST(AsyncShim, RunAsyncMatchesADirectRunDhc2) {
+  // run_async(dhc2_algorithm(cfg), ...) is the call perfbench's async-ack
+  // workload makes; it must be exactly core::run_dhc2 under the plan the
+  // runner would build, with the report read off that run's Metrics.
+  const Graph g = test_instance(128, 61);
+  core::Dhc2Config cfg;
+  AsyncConfig acfg;
+  acfg.delay = congest::DelaySpec::parse("fixed:1");
+  acfg.drop_prob = 0.02;
+  acfg.max_rounds = 200000;
+  acfg.reliability = congest::ReliabilitySpec::parse("ack");
+  const AsyncOutcome shim = run_async(kmachine::dhc2_algorithm(cfg), g, /*seed=*/3, acfg);
+
+  const congest::FaultPlan plan = fault_plan(/*seed=*/3, "fixed:1", 0.02, 200000, "ack");
+  core::Dhc2Config direct_cfg = cfg;
+  direct_cfg.faults = &plan;
+  const core::Result direct = core::run_dhc2(g, /*seed=*/3, direct_cfg);
+
+  ASSERT_GT(direct.metrics.retransmits, 0u);  // the overlay really ran
+  EXPECT_TRUE(shim.result.metrics == direct.metrics);
+  expect_results_equal(shim.result, direct, "run_async vs run_dhc2");
+  const congest::Metrics& m = direct.metrics;
+  EXPECT_EQ(shim.report.payload_messages, m.payload_messages());
+  EXPECT_EQ(shim.report.hit_round_limit, m.hit_round_limit);
+  EXPECT_EQ(shim.report.round_limit_live, m.round_limit_live);
 }
 
 // --- runner integration ----------------------------------------------------

@@ -176,6 +176,12 @@ TEST(FaultPlan, RejectsOutOfRangeDropProbability) {
   EXPECT_THROW(FaultPlan({}, -0.1, {}, 1), std::invalid_argument);
 }
 
+TEST(AsyncBackend, DeriveFaultSeedIsStableAndSalted) {
+  EXPECT_EQ(derive_fault_seed(5), derive_fault_seed(5));
+  EXPECT_NE(derive_fault_seed(5), 5u);
+  EXPECT_NE(derive_fault_seed(5), derive_fault_seed(6));
+}
+
 // --- network delivery semantics under a plan -------------------------------
 
 TEST(AsyncNetwork, FixedDelayPostponesDeliveryAndCounts) {

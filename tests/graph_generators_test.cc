@@ -1,12 +1,14 @@
 // Tests for the random and structured graph generators, including the
 // distributional properties the paper's analysis relies on (edge-count
-// concentration of G(n,p), exact edge count of G(n,M), regularity).
+// concentration of G(n,p), exact edge count of G(n,M), regularity, Chung–Lu
+// expected degrees).
 #include "graph/generators.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/algorithms.h"
 
@@ -166,6 +168,58 @@ TEST(StructuredGraphs, CompleteBipartite) {
   EXPECT_EQ(g.m(), 12u);
   EXPECT_FALSE(g.has_edge(0, 1));  // same side
   EXPECT_TRUE(g.has_edge(0, 3));   // across
+}
+
+TEST(ChungLu, ExpectedDegreesTrackWeights) {
+  // Uniform weights w: reduces to G(n, w/n)-ish; degree ≈ w.
+  support::Rng rng(3);
+  const graph::NodeId n = 2000;
+  std::vector<double> weights(n, 20.0);
+  const Graph g = chung_lu(weights, rng);
+  const double avg_deg = 2.0 * static_cast<double>(g.m()) / n;
+  EXPECT_NEAR(avg_deg, 20.0, 1.5);
+}
+
+TEST(ChungLu, HeavyNodesGetMoreEdges) {
+  support::Rng rng(4);
+  const graph::NodeId n = 1000;
+  std::vector<double> weights(n, 5.0);
+  weights[0] = 100.0;  // one hub
+  const Graph g = chung_lu(weights, rng);
+  EXPECT_GT(g.degree(0), 50u);
+  const double avg_other = 2.0 * static_cast<double>(g.m()) / n;
+  EXPECT_GT(static_cast<double>(g.degree(0)), 3.0 * avg_other);
+}
+
+TEST(ChungLu, ZeroWeightsAndTinyInputs) {
+  support::Rng rng(5);
+  const std::vector<double> zeros(10, 0.0);
+  EXPECT_EQ(chung_lu(zeros, rng).m(), 0u);
+  const std::vector<double> one{3.0};
+  EXPECT_EQ(chung_lu(one, rng).n(), 1u);
+  const std::vector<double> negative{1.0, -1.0};
+  EXPECT_THROW(chung_lu(negative, rng), std::invalid_argument);
+}
+
+TEST(ChungLu, Deterministic) {
+  const auto weights = power_law_weights(500, 2.5, 12.0);
+  support::Rng a(6);
+  support::Rng b(6);
+  EXPECT_EQ(chung_lu(weights, a).edges(), chung_lu(weights, b).edges());
+}
+
+TEST(PowerLawWeights, MeanMatchesTarget) {
+  const auto weights = power_law_weights(5000, 2.5, 10.0);
+  double sum = 0.0;
+  for (const double w : weights) sum += w;
+  EXPECT_NEAR(sum / 5000.0, 10.0, 1e-9);
+  // Heavy head, light tail.
+  EXPECT_GT(weights.front(), weights.back() * 10.0);
+}
+
+TEST(PowerLawWeights, RejectsBadParameters) {
+  EXPECT_THROW(power_law_weights(10, 2.0, 5.0), std::invalid_argument);
+  EXPECT_THROW(power_law_weights(10, 3.0, 0.0), std::invalid_argument);
 }
 
 }  // namespace

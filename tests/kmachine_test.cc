@@ -10,6 +10,7 @@
 
 #include "graph/generators.h"
 #include "graph/hamiltonian.h"
+#include "solver_table.h"
 
 namespace dhc::kmachine {
 namespace {
@@ -254,26 +255,27 @@ TEST(KMachineCost, BatchEventsMatchSingleSends) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole solver runs priced through the registered algorithms' adapters, the
-// way the runner attaches a KMachineCost under model = kmachine.
+// Whole solver runs priced through each solver's `run_*`, the way the runner
+// attaches a KMachineCost under model = kmachine.
 // ---------------------------------------------------------------------------
 
-struct NamedAlgorithm {
-  const char* name;
-  CongestAlgorithm algo;
-};
+using testutil::Solver;
+using testutil::solver;
 
 struct Priced {
   core::Result result;
   KMachineCost cost;
 };
 
-/// Runs `algo` on `g` with a fresh KMachineCost attached; the partition
+/// Runs `s` on `g` with a fresh KMachineCost attached; the partition
 /// seed is the algorithm seed (the runner's convention).
-Priced priced_run(const CongestAlgorithm& algo, const graph::Graph& g, std::uint64_t seed,
-                  std::uint32_t k, std::uint64_t bandwidth, std::uint32_t shards = 0) {
+Priced priced_run(const Solver& s, const graph::Graph& g, std::uint64_t seed, std::uint32_t k,
+                  std::uint64_t bandwidth, std::uint32_t shards = 0) {
   KMachineCost cost(g.n(), k, bandwidth, /*partition seed=*/seed);
-  core::Result result = algo(g, seed, &cost, shards, /*faults=*/nullptr);
+  congest::EngineOptions engine;
+  engine.observer = &cost;
+  engine.shards = shards;
+  core::Result result = s.run(g, seed, engine);
   cost.finish();
   return {std::move(result), std::move(cost)};
 }
@@ -290,16 +292,10 @@ TEST(RunKMachine, ReportShardInvariantForEveryAlgorithm) {
   const char* old_grain = std::getenv("DHC_SHARD_GRAIN");
   setenv("DHC_SHARD_GRAIN", "1", 1);
 
-  const NamedAlgorithm algorithms[] = {
-      {"dra", dra_algorithm()},
-      {"dhc1", dhc1_algorithm()},
-      {"dhc2", dhc2_algorithm()},
-      {"turau", turau_algorithm()},
-  };
-
-  for (const auto& [name, algo] : algorithms) {
-    const auto live = priced_run(algo, g, /*seed=*/29, /*k=*/8, /*bandwidth=*/4, /*shards=*/1);
-    const auto sharded = priced_run(algo, g, /*seed=*/29, /*k=*/8, /*bandwidth=*/4, /*shards=*/4);
+  for (const char* name : {"dra", "dhc1", "dhc2", "turau"}) {
+    const Solver& s = solver(name);
+    const auto live = priced_run(s, g, /*seed=*/29, /*k=*/8, /*bandwidth=*/4, /*shards=*/1);
+    const auto sharded = priced_run(s, g, /*seed=*/29, /*k=*/8, /*bandwidth=*/4, /*shards=*/4);
 
     EXPECT_EQ(sharded.result.success, live.result.success) << name;
     EXPECT_EQ(sharded.result.metrics.rounds, live.result.metrics.rounds) << name;
@@ -327,14 +323,9 @@ TEST(RunKMachine, ReportShardInvariantForEveryAlgorithm) {
 TEST(RunKMachine, MoreMachinesHelp) {
   support::Rng rng(3);
   const auto g = graph::gnp(256, graph::edge_probability(256, 2.5, 0.5), rng);
-  const NamedAlgorithm algorithms[] = {
-      {"dhc2", dhc2_algorithm()},
-      {"turau", turau_algorithm()},
-      {"dra", dra_algorithm()},
-  };
-  for (const auto& [name, algo] : algorithms) {
-    const auto r4 = priced_run(algo, g, /*seed=*/41, /*k=*/4, /*bandwidth=*/16);
-    const auto r16 = priced_run(algo, g, /*seed=*/41, /*k=*/16, /*bandwidth=*/16);
+  for (const char* name : {"dhc2", "turau", "dra"}) {
+    const auto r4 = priced_run(solver(name), g, /*seed=*/41, /*k=*/4, /*bandwidth=*/16);
+    const auto r16 = priced_run(solver(name), g, /*seed=*/41, /*k=*/16, /*bandwidth=*/16);
     ASSERT_TRUE(r4.result.success) << name;
     ASSERT_TRUE(r16.result.success) << name;
     EXPECT_EQ(r4.result.metrics.rounds, r16.result.metrics.rounds) << name;  // same run

@@ -170,11 +170,12 @@ TEST(TraceSpans, SumToMetricsRoundsForEverySolver) {
 TEST(TraceKMachine, KRoundChargesSumToReportRounds) {
   const graph::Graph g = instance(64, 4.0, 0.5, 21);
   TraceRecorder rec;
-  core::Dhc2Config base;
-  base.trace = &rec;
   kmachine::KMachineCost cost(g.n(), /*k=*/4, /*bandwidth=*/16, /*partition seed=*/5);
   cost.set_trace(&rec);
-  const auto r = kmachine::dhc2_algorithm(base)(g, 5, &cost, /*shards=*/0, /*faults=*/nullptr);
+  core::Dhc2Config cfg;
+  cfg.trace = &rec;
+  cfg.observer = &cost;
+  const auto r = core::run_dhc2(g, 5, cfg);
   cost.finish();
   rec.finalize(r.metrics);
 
