@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/cli.h"
 #include "support/rng.h"
 
 namespace dhc::congest {
@@ -44,45 +45,24 @@ std::uint64_t bounded(std::uint64_t h, std::uint64_t span) {
       (static_cast<unsigned __int128>(h) * static_cast<unsigned __int128>(span)) >> 64);
 }
 
-std::vector<std::string> split(const std::string& spec, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (true) {
-    const std::size_t end = spec.find(sep, begin);
-    parts.push_back(spec.substr(begin, end - begin));
-    if (end == std::string::npos) break;
-    begin = end + 1;
-  }
-  return parts;
+// Spec fields go through the strict value parsers the scenario grammar
+// uses, so a field parses only if all of it is one value in one spelling.
+std::vector<std::string> split(const std::string& spec) {
+  return support::split_list("fault spec '" + spec + "'", spec, ':');
 }
 
 std::uint64_t parse_u64(const std::string& s, const std::string& spec) {
-  try {
-    std::size_t pos = 0;
-    if (s.empty() || s[0] == '-') throw std::invalid_argument(s);
-    const unsigned long long v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad integer '" + s + "' in fault spec '" + spec + "'");
-  }
+  return support::parse_integer<std::uint64_t>("fault spec '" + spec + "'", s);
 }
 
 double parse_double(const std::string& s, const std::string& spec) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad number '" + s + "' in fault spec '" + spec + "'");
-  }
+  return support::parse_number("fault spec '" + spec + "'", s);
 }
 
 }  // namespace
 
 DelaySpec DelaySpec::parse(const std::string& spec) {
-  const auto parts = split(spec, ':');
+  const auto parts = split(spec);
   DelaySpec d;
   if (parts[0] == "none") {
     if (parts.size() != 1) throw std::invalid_argument("delay spec 'none' takes no arguments");
@@ -135,7 +115,7 @@ std::string DelaySpec::to_string() const {
 }
 
 CrashSpec CrashSpec::parse(const std::string& spec) {
-  const auto parts = split(spec, ':');
+  const auto parts = split(spec);
   CrashSpec c;
   if (parts[0] == "none") {
     if (parts.size() != 1) throw std::invalid_argument("crash spec 'none' takes no arguments");
@@ -193,7 +173,7 @@ std::uint64_t FaultPlan::delay(NodeId from, NodeId to) const {
       const double u = std::max(u01(h), 0x1.0p-53);
       const double extra = std::floor(std::log(u) / std::log(1.0 - delay_.p));
       // Cap at 2^20 rounds: far beyond any plausible schedule, keeps the
-      // far-delivery map bounded even for absurd p.
+      // delivery wheel's far tier bounded even for absurd p.
       return 1 + static_cast<std::uint64_t>(std::min(extra, 1048576.0));
     }
   }

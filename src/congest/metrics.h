@@ -43,7 +43,7 @@ struct Metrics {
 
   /// High-water mark of the simulator's message arenas, in bytes: the
   /// per-round maximum of logical messages in flight (shard logs + inbox
-  /// arena + async delay wheel/far map) × sizeof(Message), which is 28 B; an
+  /// arena + async delivery wheel) × sizeof(Message), which is 28 B; an
   /// async frame's 8-byte overlay header is not counted.  Counts logical
   /// occupancy, never vector capacities, so it is bitwise identical across
   /// shard counts.

@@ -85,11 +85,8 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
   const std::size_t total_directed = edge_offsets_.empty() ? 0 : edge_offsets_.back();
   edge_round_.assign(total_directed, static_cast<std::uint64_t>(-1));
 
-  wheel_.resize(kWheelSize);
-
   faults_ = cfg_.faults;
   if (faults_ != nullptr) {
-    delay_wheel_.resize(kWheelSize);
     link_free_at_.assign(total_directed, 0);
     if (faults_->round_limit() != 0) {
       cfg_.max_rounds = std::min(cfg_.max_rounds, faults_->round_limit());
@@ -162,13 +159,11 @@ void Network::throw_over_capacity(const ShardState& sh, NodeId from, NodeId to,
 
 void Network::wake(NodeId v) {
   DHC_REQUIRE(v < graph_->n(), "wake: node out of range");
-  arm_wakeup(v, 1);
+  wakeups_.push(round_, round_ + 1, v);
 }
 
 void Network::wake_all() {
-  auto& bucket = wheel_[(round_ + 1) & kWheelMask];
-  for (NodeId v = 0; v < graph_->n(); ++v) bucket.push_back(v);
-  wheel_armed_ += graph_->n();
+  for (NodeId v = 0; v < graph_->n(); ++v) wakeups_.push(round_, round_ + 1, v);
 }
 
 void Network::mark_phase(const std::string& label) {
@@ -178,25 +173,6 @@ void Network::mark_phase(const std::string& label) {
 
 void Network::set_barrier_cost(std::uint64_t rounds_per_barrier) {
   metrics_.barrier_cost_rounds = rounds_per_barrier;
-}
-
-std::uint64_t Network::next_armed_round() const {
-  // Every wheel entry's round lies in (round_, round_ + kWheelSize), so one
-  // sweep of the wheel starting after the current slot finds the nearest
-  // armed bucket; far-future wake-ups only need the heap minimum.
-  std::uint64_t best = static_cast<std::uint64_t>(-1);
-  if (wheel_armed_ != 0) {
-    for (std::uint64_t r = round_ + 1; r < round_ + kWheelSize; ++r) {
-      if (!wheel_[r & kWheelMask].empty()) {
-        best = r;
-        break;
-      }
-    }
-  }
-  if (!far_wakeups_.empty()) best = std::min(best, far_wakeups_.top().first);
-  DHC_CHECK(best != static_cast<std::uint64_t>(-1),
-            "next_armed_round() called with no wake-up armed");
-  return best;
 }
 
 void Network::enqueue_async(NodeId from, NodeId to, std::size_t edge_id, const Message& msg) {
@@ -231,15 +207,7 @@ void Network::file_async(std::size_t edge_id, const Frame& frame) {
   }
   const std::uint64_t latency = (depart - round_) + faults_->delay(from, to);
   if (latency > 1) metrics_.delayed_messages += 1;
-  const std::uint64_t target = round_ + latency;
-  auto& bucket =
-      latency < kWheelSize ? delay_wheel_[target & kWheelMask] : far_messages_[target];
-  if (latency < kWheelSize) {
-    ++delay_armed_;
-  } else {
-    ++far_msg_armed_;
-  }
-  bucket.push_back(frame);
+  deliveries_.push(round_, round_ + latency, frame);
 }
 
 void Network::service_transport() {
@@ -250,8 +218,7 @@ void Network::service_transport() {
   // traffic counts in messages/bits (acks at header-only cost) but not in
   // the per-node send stats, which stay protocol-only.
   transport_batch_.clear();
-  reliable_->collect_due(
-      round_, [&](NodeId v) { return faults_->crashed(v, round_); }, transport_batch_);
+  reliable_->collect_due(round_, *faults_, transport_batch_);
   for (const Frame& f : transport_batch_) {
     const Message& m = f.msg;
     const std::size_t edge_id = edge_offsets_[m.from] + graph_->neighbor_rank(m.from, m.to);
@@ -267,32 +234,15 @@ void Network::service_transport() {
   }
 }
 
-std::uint64_t Network::next_delivery_round() const {
-  std::uint64_t best = static_cast<std::uint64_t>(-1);
-  if (delay_armed_ != 0) {
-    for (std::uint64_t r = round_ + 1; r < round_ + kWheelSize; ++r) {
-      if (!delay_wheel_[r & kWheelMask].empty()) {
-        best = r;
-        break;
-      }
-    }
-  }
-  if (!far_messages_.empty()) best = std::min(best, far_messages_.begin()->first);
-  return best;
-}
-
 void Network::mature_async_messages() {
   // Overlay timers first: the retransmits/acks they file are sends *at* this
   // round (latency >= 1), so they never interact with this round's matured
   // arrivals below — the split is purely for a fixed service order.
   if (reliable_ != nullptr) service_transport();
 
-  // Far entries mature before the wheel bucket: a far message due this round
-  // was filed with latency >= kWheelSize, i.e. sent at least kWheelSize
-  // rounds ago, while every wheel message due now was sent strictly later —
-  // so far-then-wheel, each vector in append order, IS the global send
-  // order, and per-node arrival order stays send-order just like the
-  // synchronous scatter.
+  // The wheel hands out this round's frames in push order, which is the
+  // global send order (RoundWheel::drain), so per-node arrival order stays
+  // send order just like the synchronous scatter.
   std::vector<Message>& staged = shard_state_[0].outbox;  // emptied by the last merge
   const auto deliver_one = [&](const Message& m) {
     metrics_.node_messages_received[m.to] += 1;
@@ -300,53 +250,41 @@ void Network::mature_async_messages() {
     staged.push_back(m);
     ++parked_;
   };
-  const auto deliver = [&](std::vector<Frame>& frames) {
-    for (const Frame& f : frames) {
-      const Message& m = f.msg;
-      if (faults_->crashed(m.to, round_)) {
-        // Crashed receivers lose even overlay traffic — no ack forms, so the
-        // sender's timer keeps the payload alive until after the rejoin.
-        metrics_.crash_dropped_messages += 1;
-        continue;
-      }
-      if (reliable_ == nullptr) {
-        deliver_one(m);
-        continue;
-      }
-      // Overlay arrival: process the piggybacked ack, then deliver / buffer /
-      // suppress the payload.  Standalone acks and buffered/duplicate
-      // payloads never reach the protocol (no activation, no received
-      // count); an in-order payload releases any buffered successors with
-      // it, in seq order.
-      const std::size_t edge = edge_offsets_[m.from] + graph_->neighbor_rank(m.from, m.to);
-      switch (reliable_->on_arrival(edge, f, round_)) {
-        case ReliableOverlay::Arrival::kAck:
-          break;
-        case ReliableOverlay::Arrival::kBuffer:
-          break;
-        case ReliableOverlay::Arrival::kDuplicate:
-          metrics_.dup_suppressed += 1;
-          break;
-        case ReliableOverlay::Arrival::kDeliver:
-          deliver_one(m);
-          drain_batch_.clear();
-          reliable_->drain_in_order(edge, drain_batch_);
-          for (const Frame& d : drain_batch_) deliver_one(d.msg);
-          break;
-      }
+  const bool overshot = deliveries_.drain(round_, [&](const Frame& f) {
+    const Message& m = f.msg;
+    if (faults_->crashed(m.to, round_)) {
+      // Crashed receivers lose even overlay traffic — no ack forms, so the
+      // sender's timer keeps the payload alive until after the rejoin.
+      metrics_.crash_dropped_messages += 1;
+      return;
     }
-  };
-  const auto due = far_messages_.begin();
-  if (due != far_messages_.end() && due->first <= round_) {
-    DHC_CHECK(due->first == round_, "far async delivery overshot its round");
-    deliver(due->second);
-    far_msg_armed_ -= due->second.size();
-    far_messages_.erase(due);
-  }
-  auto& bucket = delay_wheel_[round_ & kWheelMask];
-  delay_armed_ -= bucket.size();
-  deliver(bucket);
-  bucket.clear();
+    if (reliable_ == nullptr) {
+      deliver_one(m);
+      return;
+    }
+    // Overlay arrival: process the piggybacked ack, then deliver / buffer /
+    // suppress the payload.  Standalone acks and buffered/duplicate payloads
+    // never reach the protocol (no activation, no received count); an
+    // in-order payload releases any buffered successors with it, in seq
+    // order.
+    const std::size_t edge = edge_offsets_[m.from] + graph_->neighbor_rank(m.from, m.to);
+    switch (reliable_->on_arrival(edge, f, round_)) {
+      case ReliableOverlay::Arrival::kAck:
+        break;
+      case ReliableOverlay::Arrival::kBuffer:
+        break;
+      case ReliableOverlay::Arrival::kDuplicate:
+        metrics_.dup_suppressed += 1;
+        break;
+      case ReliableOverlay::Arrival::kDeliver:
+        deliver_one(m);
+        drain_batch_.clear();
+        reliable_->drain_in_order(edge, drain_batch_);
+        for (const Frame& d : drain_batch_) deliver_one(d.msg);
+        break;
+    }
+  });
+  DHC_CHECK(!overshot, "far async delivery overshot its round");
 }
 
 void Network::filter_crashed_active() {
@@ -389,24 +327,13 @@ void Network::deliver_and_build_active_set() {
   }
   next_active_.clear();
 
-  // Wake-ups for this round: the wheel bucket plus any matured far entries.
-  auto& bucket = wheel_[round_ & kWheelMask];
-  wheel_armed_ -= bucket.size();
-  for (const NodeId v : bucket) {
+  // Wake-ups for this round.
+  wakeups_.drain(round_, [&](NodeId v) {
     if (has_mail_[v] == 0) {
       has_mail_[v] = 1;
       active_.push_back(v);
     }
-  }
-  bucket.clear();
-  while (!far_wakeups_.empty() && far_wakeups_.top().first == round_) {
-    const NodeId v = far_wakeups_.top().second;
-    far_wakeups_.pop();
-    if (has_mail_[v] == 0) {
-      has_mail_[v] = 1;
-      active_.push_back(v);
-    }
-  }
+  });
   // Steps must run in ascending node order (protocol RNG draws, send order,
   // and the contiguity of shard slices all depend on it).  For dense rounds
   // — flood phases activate nearly every node — rebuilding the set from the
@@ -466,12 +393,12 @@ void Network::deliver_and_build_active_set() {
 
 void Network::sample_arenas() {
   // Logical in-flight messages at the round epilogue: sends parked for next
-  // round, this round's delivered inboxes, and everything in the async delay
-  // structures, at sizeof(Message) each (a frame's overlay header is not
+  // round, this round's delivered inboxes, and everything in the async
+  // delivery wheel, at sizeof(Message) each (a frame's overlay header is not
   // counted).  Logical counts only — vector capacities differ across shard
   // counts, these numbers never do.
   const std::uint64_t in_flight =
-      static_cast<std::uint64_t>(parked_) + inbox_live_ + delay_armed_ + far_msg_armed_;
+      static_cast<std::uint64_t>(parked_) + inbox_live_ + deliveries_.size();
   const std::uint64_t bytes = in_flight * sizeof(Message);
   if (bytes > metrics_.arena_bytes_peak) metrics_.arena_bytes_peak = bytes;
 }
@@ -567,7 +494,7 @@ void Network::merge_shard_logs() {
         ++parked_;
       });
     }
-    for (const auto& [delay, v] : sh.wakeups) arm_wakeup(v, delay);
+    for (const auto& [delay, v] : sh.wakeups) wakeups_.push(round_, round_ + delay, v);
     sh.wakeups.clear();
   }
 }
@@ -634,30 +561,32 @@ Metrics Network::run(Protocol& protocol) {
 
   bool rejoins_counted = false;
   while (true) {
-    const bool delivery_pending = faults_ != nullptr && any_delivery_pending();
     const bool transport_pending = reliable_ != nullptr && reliable_->any_pending();
-    if (parked_ == 0 && !any_wakeup_armed() && !delivery_pending && !transport_pending) {
+    if (parked_ == 0 && wakeups_.empty() && deliveries_.empty() && !transport_pending) {
       if (!protocol.on_quiescence(*this)) break;
       metrics_.barrier_count += 1;
       if (tracing) cfg_.trace->on_barrier(round_, metrics_.barrier_cost_rounds);
-      DHC_CHECK(any_wakeup_armed(),
+      DHC_CHECK(!wakeups_.empty(),
                 "protocol continued past quiescence without waking any node (would spin forever)");
       continue;
     }
 
     // Advance to the next round with activity (idle gaps still count).  The
-    // async regime jumps to the earliest event of either kind — a pending
-    // delivery or an armed wake-up — so no delay-wheel bucket is ever
-    // skipped past; the synchronous regime keeps the classic rule.
+    // async regime jumps to the earliest event of any kind — a pending
+    // delivery, a live overlay timer or an armed wake-up — so no wheel
+    // bucket holding a live item is ever skipped past; the synchronous
+    // regime keeps the classic rule.
     if (faults_ != nullptr) {
-      std::uint64_t next = next_delivery_round();
+      std::uint64_t next = std::min(deliveries_.next_round(round_), wakeups_.next_round(round_));
       if (reliable_ != nullptr) next = std::min(next, reliable_->next_event_round(round_));
-      if (any_wakeup_armed()) next = std::min(next, next_armed_round());
-      DHC_CHECK(next != static_cast<std::uint64_t>(-1),
+      DHC_CHECK(next != RoundWheel<Frame>::kNever,
                 "async advance with neither deliveries, transport timers, nor wake-ups pending");
       round_ = next;
+    } else if (parked_ == 0) {
+      round_ = wakeups_.next_round(round_);
+      DHC_CHECK(round_ != RoundWheel<NodeId>::kNever, "round advance with no wake-up armed");
     } else {
-      round_ = parked_ == 0 ? next_armed_round() : round_ + 1;
+      round_ += 1;
     }
     if (round_ > cfg_.max_rounds) {
       metrics_.hit_round_limit = true;
@@ -665,8 +594,7 @@ Metrics Network::run(Protocol& protocol) {
       // pending deliveries, armed retransmit/ack timers) hit the limit mid
       // flight — e.g. turau's delay livelock; one with only wake-up polling
       // left is the drop-stall signature (nothing will ever arrive again).
-      metrics_.round_limit_live = parked_ != 0 ||
-                                  (faults_ != nullptr && any_delivery_pending()) ||
+      metrics_.round_limit_live = parked_ != 0 || !deliveries_.empty() ||
                                   (reliable_ != nullptr && reliable_->any_pending());
       break;
     }
@@ -692,14 +620,14 @@ Metrics Network::run(Protocol& protocol) {
       t0 = std::chrono::steady_clock::now();
     }
     deliver_and_build_active_set();
-    const std::uint64_t wake0 = wheel_armed_ + far_wakeups_.size();
+    const std::uint64_t wake0 = wakeups_.size();
     step_active_set(protocol);
     if (tracing) {
       const auto wall_ns = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - t0)
               .count());
-      const std::uint64_t wake1 = wheel_armed_ + far_wakeups_.size();
+      const std::uint64_t wake1 = wakeups_.size();
       emit_round_trace(before, wake1 > wake0 ? wake1 - wake0 : 0, wall_ns);
     }
 

@@ -13,9 +13,10 @@
 // list; at the next round's delivery the logs are expanded in shard order —
 // stably, so per-node arrival order is the global send order — into a flat
 // inbox arena in which every active node owns one contiguous slice.  inbox()
-// is a span over that slice.  Wake-ups live in a fixed-size bucket wheel
-// indexed by round (far-future wake-ups overflow into a small heap) instead
-// of a std::map.  All arenas and wheel buckets are reused across rounds.
+// is a span over that slice.  Wake-ups (and, under async delivery, pending
+// messages) live in a RoundWheel (congest/round_wheel.h): one bucket per
+// upcoming round, far-future items in an ordered far tier.  All arenas and
+// wheel buckets are reused across rounds.
 //
 // One round engine (DESIGN.md §5): every round steps the id-sorted active
 // set into shard logs — sends, wake-ups, observer events — and a serial
@@ -39,9 +40,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <queue>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -50,6 +49,7 @@
 
 #include "congest/message.h"
 #include "congest/metrics.h"
+#include "congest/round_wheel.h"
 #include "congest/trace_sink.h"
 #include "graph/graph.h"
 #include "support/require.h"
@@ -128,7 +128,7 @@ struct EngineOptions {
   /// Optional fault plan (not owned; must outlive the run).  nullptr — the
   /// default — is the synchronous CONGEST model.  Non-null switches the
   /// engine to the async delivery regime (DESIGN.md §8): sends are routed
-  /// through the plan's drop/delay decisions into a message delay wheel and
+  /// through the plan's drop/delay decisions into a delivery wheel and
   /// delivered when their latency elapses; crashed nodes neither step nor
   /// receive.
   const FaultPlan* faults = nullptr;
@@ -263,8 +263,8 @@ class Protocol {
   virtual bool parallel_step_safe() const { return true; }
 };
 
-/// The simulator.  Owns the message arenas, the wake-up wheel, the shard
-/// worker pool, and metrics for one run.
+/// The simulator.  Owns the message arenas, the wake-up and delivery
+/// wheels, the shard worker pool, and metrics for one run.
 class Network {
  public:
   Network(const graph::Graph& g, NetworkConfig cfg);
@@ -297,18 +297,6 @@ class Network {
   /// Metrics of the run in progress (valid during run()).
   Metrics& metrics() { return metrics_; }
 
-  /// Wake-up wheel geometry: one bucket per upcoming round, indexed modulo
-  /// the wheel size.  Every delay protocols use in practice is far below
-  /// kWheelSize; longer delays overflow into a (round, node) min-heap.
-  /// Rounds advance either by +1 or by jumping to the *minimum* armed round
-  /// (wake-up or pending async delivery), so a bucket is always drained
-  /// before its slot could be reused.  The async message delay wheel shares
-  /// this geometry.  Public so the boundary tests can pin the wheel/heap
-  /// hand-off at exactly kWheelSize-1 / kWheelSize / kWheelSize+1.
-  static constexpr std::uint64_t kWheelBits = 10;
-  static constexpr std::uint64_t kWheelSize = 1ull << kWheelBits;
-  static constexpr std::uint64_t kWheelMask = kWheelSize - 1;
-
  private:
   friend class Context;
 
@@ -330,18 +318,15 @@ class Network {
   /// Emits the round's RoundTrace, plus its FaultTrace / RetransTrace when
   /// the async regime / reliable overlay produced any events.
   void emit_round_trace(const TraceCounters& before, std::uint64_t wakeups, std::uint64_t wall_ns);
-  std::uint64_t next_armed_round() const;
-  void arm_wakeup(NodeId v, std::uint64_t delay);
-  bool any_wakeup_armed() const { return wheel_armed_ != 0 || !far_wakeups_.empty(); }
 
   // --- async delivery (cfg.faults != nullptr) ---
 
   /// Routes one committed send through the fault plan: dropped messages
-  /// vanish (counted), surviving ones are framed and filed in the message
-  /// delay wheel (or the far map) under round_ + latency.  With the reliable
-  /// overlay engaged, the frame is seq-stamped and buffered for
-  /// retransmission first.  Serial only: called from the shard-log merge,
-  /// never from inside a parallel section.  `edge_id` is from → to.
+  /// vanish (counted), surviving ones are framed and filed in the delivery
+  /// wheel under round_ + latency.  With the reliable overlay engaged, the
+  /// frame is seq-stamped and buffered for retransmission first.  Serial
+  /// only: called from the shard-log merge, never from inside a parallel
+  /// section.  `edge_id` is from → to.
   void enqueue_async(NodeId from, NodeId to, std::size_t edge_id, const Message& msg);
   /// The transport tail of enqueue_async: link FIFO slot, drop decision,
   /// delay assignment, wheel filing (frame.msg.from/to already set).  Also
@@ -351,15 +336,12 @@ class Network {
   /// Fires the overlay timers due this round and files the resulting
   /// retransmit / standalone-ack messages (with Metrics accounting).
   void service_transport();
-  /// Moves every message due this round from the delay wheel / far map into
+  /// Moves every message due this round from the delivery wheel into
   /// shard 0's log (stripping the frame header), applying crash-receiver
   /// drops and the receiver-side first-touch bookkeeping that the
   /// synchronous merge does at send time.  The log is empty here: async
-  /// merges file every send into the delay wheel.
+  /// merges file every send into the delivery wheel.
   void mature_async_messages();
-  /// Earliest round > round_ holding a pending delivery (UINT64_MAX: none).
-  std::uint64_t next_delivery_round() const;
-  bool any_delivery_pending() const { return delay_armed_ != 0 || !far_messages_.empty(); }
   /// Drops crashed nodes from the freshly built active set (serial pass).
   void filter_crashed_active();
 
@@ -407,26 +389,21 @@ class Network {
   std::vector<NodeId> active_;          // nodes to step this round
   std::vector<std::uint8_t> has_mail_;  // dedup mail vs wake-up activation
 
-  std::vector<std::vector<NodeId>> wheel_;  // kWheelSize buckets, reused
-  std::size_t wheel_armed_ = 0;             // total nodes across wheel buckets
-  std::priority_queue<std::pair<std::uint64_t, NodeId>,
-                      std::vector<std::pair<std::uint64_t, NodeId>>,
-                      std::greater<>>
-      far_wakeups_;  // wake-ups ≥ kWheelSize rounds out (rare)
+  // Armed wake-ups.  Rounds advance either by +1 or by jumping to the
+  // *minimum* armed round (wake-up, pending async delivery or overlay
+  // timer), so no bucket holding a live item is ever skipped.  Far wake-ups
+  // leave in push order rather than (round, node) order; the active set is
+  // sorted before anyone steps, so that order is never observed.
+  RoundWheel<NodeId> wakeups_;
 
-  // Async delivery state (allocated only when cfg.faults != nullptr).  The
-  // message delay wheel mirrors the wake-up wheel: one bucket per upcoming
-  // round; deliveries ≥ kWheelSize rounds out live in the ordered far map.
-  // Bucket append order is the global send order, so maturation preserves
-  // the arrival-order determinism the synchronous scatter guarantees.  They
-  // hold Frames: the overlay header exists only while a message is parked
-  // here or in the overlay's buffers.
-  const FaultPlan* faults_ = nullptr;              // hoisted out of cfg_
-  std::vector<std::uint64_t> link_free_at_;        // per directed edge: next free departure round
-  std::vector<std::vector<Frame>> delay_wheel_;    // kWheelSize buckets
-  std::size_t delay_armed_ = 0;                    // messages across buckets
-  std::map<std::uint64_t, std::vector<Frame>> far_messages_;  // round → frames
-  std::size_t far_msg_armed_ = 0;                  // messages across the far map
+  // Async delivery state (used only when cfg.faults != nullptr).  Push
+  // order is the global send order, so maturation preserves the
+  // arrival-order determinism the synchronous scatter guarantees.  The
+  // wheel holds Frames: the overlay header exists only while a message is
+  // parked here or in the overlay's buffers.
+  const FaultPlan* faults_ = nullptr;          // hoisted out of cfg_
+  std::vector<std::uint64_t> link_free_at_;    // per directed edge: next free departure round
+  RoundWheel<Frame> deliveries_;
 
   // Reliable-delivery overlay (congest/reliable.h).  Engaged only when the
   // plan requests reliability=ack AND can actually lose messages (drops or
@@ -462,16 +439,6 @@ class Network {
 // tag and node_messages_sent[from] — is owned by the sending node and
 // therefore by exactly one shard.
 // ---------------------------------------------------------------------------
-
-inline void Network::arm_wakeup(NodeId v, std::uint64_t delay) {
-  const std::uint64_t target = round_ + delay;
-  if (delay < kWheelSize) {
-    wheel_[target & kWheelMask].push_back(v);
-    ++wheel_armed_;
-  } else {
-    far_wakeups_.emplace(target, v);
-  }
-}
 
 inline void Network::commit_send(ShardState& sh, NodeId from, NodeId to,
                                  std::size_t edge_id, const Message& msg) {

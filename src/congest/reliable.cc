@@ -3,37 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "congest/fault_plan.h"
+#include "support/cli.h"
+
 namespace dhc::congest {
 
 namespace {
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t next = s.find(sep, pos);
-    if (next == std::string::npos) {
-      out.push_back(s.substr(pos));
-      return out;
-    }
-    out.push_back(s.substr(pos, next - pos));
-    pos = next + 1;
-  }
-}
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  std::size_t used = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(s, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("rto spec: bad ") + what + " '" + s + "'");
-  }
-  if (used != s.size()) {
-    throw std::invalid_argument(std::string("rto spec: bad ") + what + " '" + s + "'");
-  }
-  return v;
-}
 
 // Keeps the backoff arithmetic (cur * mult, capped at max) far from overflow.
 constexpr std::uint64_t kMaxTimeout = 1'000'000'000;
@@ -41,18 +16,21 @@ constexpr std::uint64_t kMaxTimeout = 1'000'000'000;
 }  // namespace
 
 RtoSpec RtoSpec::parse(const std::string& spec) {
-  std::vector<std::string> parts = split(spec, ':');
-  std::size_t i = 0;
-  if (!parts.empty() && parts[0] == "rto") i = 1;
+  const std::string what = "rto spec '" + spec + "'";
+  const std::vector<std::string> parts = support::split_list(what, spec, ':');
+  const std::size_t i = parts[0] == "rto" ? 1 : 0;
   const std::size_t count = parts.size() - i;
-  if (parts.size() == i || count > 3) {
-    throw std::invalid_argument("rto spec '" + spec + "' (expected rto:K[:MULT[:MAX]])");
+  if (count == 0 || count > 3) {
+    throw std::invalid_argument(what + " (expected rto:K[:MULT[:MAX]])");
   }
+  const auto field = [&](std::size_t k, const char* name) {
+    return support::parse_integer<std::uint64_t>(what + " " + name, parts[i + k]);
+  };
   RtoSpec r;
-  r.initial = parse_u64(parts[i], "timeout");
-  r.mult = count >= 2 ? parse_u64(parts[i + 1], "multiplier") : 2;
+  r.initial = field(0, "timeout");
+  r.mult = count >= 2 ? field(1, "multiplier") : 2;
   // Omitted cap: the default 16, lifted so it never undercuts the timeout.
-  r.max = count >= 3 ? parse_u64(parts[i + 2], "cap") : std::max<std::uint64_t>(16, r.initial);
+  r.max = count >= 3 ? field(2, "cap") : std::max<std::uint64_t>(16, r.initial);
   if (r.initial < 1 || r.initial > kMaxTimeout) {
     throw std::invalid_argument("rto spec '" + spec + "': timeout must be in [1, 1e9]");
   }
@@ -108,16 +86,6 @@ ReliableOverlay::ReliableOverlay(const graph::Graph& g, RtoSpec rto) : rto_(rto)
   recv_next_.assign(total, 1);
   recv_buf_.assign(total, {});
   ack_due_.assign(total, 0);
-  timer_wheel_.resize(kWheelSize);
-}
-
-void ReliableOverlay::file_timer(std::uint64_t now, std::uint64_t fire, std::uint32_t edge,
-                                 TimerKind kind) {
-  if (fire - now < kWheelSize) {
-    timer_wheel_[fire & kWheelMask].push_back({edge, kind});
-  } else {
-    far_timers_[fire].push_back({edge, kind});
-  }
 }
 
 void ReliableOverlay::stamp_and_buffer(std::size_t edge, Frame& frame, std::uint64_t now) {
@@ -133,8 +101,8 @@ void ReliableOverlay::stamp_and_buffer(std::size_t edge, Frame& frame, std::uint
   if (retrans_due_[edge] == 0) {
     cur_rto_[edge] = rto_.initial;
     retrans_due_[edge] = now + rto_.initial;
-    file_timer(now, retrans_due_[edge], static_cast<std::uint32_t>(edge),
-               TimerKind::kRetransmit);
+    timers_.push(now, retrans_due_[edge],
+                 {static_cast<std::uint32_t>(edge), TimerKind::kRetransmit});
     ++live_timers_;
   }
 }
@@ -156,15 +124,15 @@ void ReliableOverlay::process_ack(std::size_t edge, std::uint32_t ack, std::uint
     // unacked message; the old wheel entry goes stale.
     cur_rto_[edge] = rto_.initial;
     retrans_due_[edge] = now + rto_.initial;
-    file_timer(now, retrans_due_[edge], static_cast<std::uint32_t>(edge),
-               TimerKind::kRetransmit);
+    timers_.push(now, retrans_due_[edge],
+                 {static_cast<std::uint32_t>(edge), TimerKind::kRetransmit});
   }
 }
 
 void ReliableOverlay::schedule_ack(std::size_t edge, std::uint64_t now) {
   if (ack_due_[edge] != 0) return;
   ack_due_[edge] = now + 1;
-  file_timer(now, now + 1, static_cast<std::uint32_t>(edge), TimerKind::kAck);
+  timers_.push(now, now + 1, {static_cast<std::uint32_t>(edge), TimerKind::kAck});
   ++live_timers_;
 }
 
@@ -202,8 +170,7 @@ void ReliableOverlay::drain_in_order(std::size_t edge, std::vector<Frame>& out) 
   if (k != 0) buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(k));
 }
 
-void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
-                                 const std::function<bool(NodeId)>& crashed,
+void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now, const FaultPlan& faults,
                                  std::vector<Frame>& out) {
   const std::size_t e = t.edge;
   if (t.kind == TimerKind::kRetransmit) {
@@ -214,12 +181,12 @@ void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
       --live_timers_;
       return;
     }
-    if (crashed(edge_tail_[e])) {
+    if (faults.crashed(edge_tail_[e], now)) {
       // A crashed sender can't act; the buffer survives and the timer
       // re-arms at the same timeout (the crash, not congestion, is the
       // cause) so retransmission resumes after the rejoin.
       retrans_due_[e] = now + cur_rto_[e];
-      file_timer(now, retrans_due_[e], t.edge, TimerKind::kRetransmit);
+      timers_.push(now, retrans_due_[e], {t.edge, TimerKind::kRetransmit});
       return;
     }
     // Go-back-N: re-send every unacked message with a refreshed piggyback
@@ -233,14 +200,14 @@ void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
     for (const Frame& f : buf) out.emplace_back(f).ack = piggy;
     cur_rto_[e] = std::min(cur_rto_[e] * rto_.mult, rto_.max);
     retrans_due_[e] = now + cur_rto_[e];
-    file_timer(now, retrans_due_[e], t.edge, TimerKind::kRetransmit);
+    timers_.push(now, retrans_due_[e], {t.edge, TimerKind::kRetransmit});
   } else {
     if (ack_due_[e] != now) return;  // stale hint
     const std::size_t rev = reverse_edge_[e];
-    if (crashed(edge_tail_[rev])) {
+    if (faults.crashed(edge_tail_[rev], now)) {
       // The ack is owed by e's head, which is crashed; retry next round.
       ack_due_[e] = now + 1;
-      file_timer(now, ack_due_[e], t.edge, TimerKind::kAck);
+      timers_.push(now, ack_due_[e], {t.edge, TimerKind::kAck});
       return;
     }
     Frame& ack = out.emplace_back();  // standalone ack: seq 0, no payload
@@ -252,60 +219,23 @@ void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now,
   }
 }
 
-void ReliableOverlay::collect_due(std::uint64_t now,
-                                  const std::function<bool(NodeId)>& crashed,
+void ReliableOverlay::collect_due(std::uint64_t now, const FaultPlan& faults,
                                   std::vector<Frame>& out) {
-  // Far entries first (they were armed earliest), then the wheel bucket in
-  // append order — a fixed, deterministic service order.  Far keys the
+  // Far entries first (they were armed earliest), then this round's bucket
+  // in push order — a fixed, deterministic service order.  Far keys the
   // event-driven advance jumped past hold only stale hints (a live timer's
-  // round is always visited); fire_entry's due check discards them.
-  while (!far_timers_.empty() && far_timers_.begin()->first <= now) {
-    fire_scratch_.swap(far_timers_.begin()->second);
-    far_timers_.erase(far_timers_.begin());
-    for (const TimerEntry& t : fire_scratch_) fire_entry(t, now, crashed, out);
-    fire_scratch_.clear();
-  }
-  auto& bucket = timer_wheel_[now & kWheelMask];
-  // Swap out before firing: re-arms file into other buckets (fire rounds are
-  // always > now and wheel distances < kWheelSize), never this one.
-  fire_scratch_.swap(bucket);
-  for (const TimerEntry& t : fire_scratch_) fire_entry(t, now, crashed, out);
-  fire_scratch_.clear();
+  // round is always visited), so drain's overshoot report is moot here;
+  // fire_entry's due check discards them.  Re-arms file at rounds > now,
+  // never into the bucket being drained.
+  timers_.drain(now, [&](const TimerEntry& t) { fire_entry(t, now, faults, out); });
 }
 
 std::uint64_t ReliableOverlay::next_event_round(std::uint64_t now) const {
-  if (live_timers_ == 0) return static_cast<std::uint64_t>(-1);
-  const auto entry_live_at = [&](const TimerEntry& t, std::uint64_t fire) {
+  if (live_timers_ == 0) return RoundWheel<TimerEntry>::kNever;
+  return timers_.next_round(now, [&](const TimerEntry& t, std::uint64_t fire) {
     return t.kind == TimerKind::kRetransmit ? retrans_due_[t.edge] == fire
                                             : ack_due_[t.edge] == fire;
-  };
-  std::uint64_t best = static_cast<std::uint64_t>(-1);
-  // A live far timer can sit closer than kWheelSize once rounds advance, so
-  // the far map is scanned unconditionally, not just past the wheel horizon.
-  for (const auto& [fire, entries] : far_timers_) {
-    if (fire <= now) continue;  // stale keys awaiting their cleanup sweep
-    bool live = false;
-    for (const TimerEntry& t : entries) {
-      if (entry_live_at(t, fire)) {
-        live = true;
-        break;
-      }
-    }
-    if (live) {
-      best = fire;
-      break;
-    }
-  }
-  for (std::uint64_t r = now + 1; r < now + kWheelSize && r < best; ++r) {
-    for (const TimerEntry& t : timer_wheel_[r & kWheelMask]) {
-      if (entry_live_at(t, r)) {
-        best = r;
-        break;
-      }
-    }
-    if (best == r) break;
-  }
-  return best;
+  });
 }
 
 }  // namespace dhc::congest

@@ -29,15 +29,16 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "congest/message.h"
+#include "congest/round_wheel.h"
 #include "graph/graph.h"
 
 namespace dhc::congest {
+
+class FaultPlan;  // congest/fault_plan.h — answers the crash test at fire time
 
 /// Retransmit-timer parameters.  Spec strings use ':' separators so they
 /// survive comma-separated scenario axis lists:
@@ -110,10 +111,9 @@ class ReliableOverlay {
   /// Fires every timer due at `now`, appending the frames the transport
   /// owes the network — retransmit copies (seq > 0, refreshed ack) and
   /// standalone acks (seq == 0) — in deterministic timer order.
-  /// Timers owned by a currently crashed endpoint defer instead of firing
-  /// (the work survives the crash window; see DESIGN.md §9).
-  void collect_due(std::uint64_t now, const std::function<bool(NodeId)>& crashed,
-                   std::vector<Frame>& out);
+  /// Timers owned by an endpoint `faults` has crashed at `now` defer instead
+  /// of firing (the work survives the crash window; see DESIGN.md §9).
+  void collect_due(std::uint64_t now, const FaultPlan& faults, std::vector<Frame>& out);
 
   /// True while any link still owes traffic (unacked payload or a pending
   /// standalone ack) — the overlay's contribution to the quiescence check.
@@ -132,20 +132,10 @@ class ReliableOverlay {
     TimerKind kind = TimerKind::kRetransmit;
   };
 
-  // The timer wheel mirrors the Network's wake-up wheel geometry: one bucket
-  // per upcoming round, far-future timers in an ordered map.  Entries are
-  // hints, not state: re-arming files a new entry and leaves the old one
-  // stale; the due arrays below are the ground truth, checked at fire time
-  // (and by next_event_round), so stale entries are dropped for free.
-  static constexpr std::uint64_t kWheelBits = 10;
-  static constexpr std::uint64_t kWheelSize = 1ull << kWheelBits;
-  static constexpr std::uint64_t kWheelMask = kWheelSize - 1;
-
-  void file_timer(std::uint64_t now, std::uint64_t fire, std::uint32_t edge, TimerKind kind);
   void process_ack(std::size_t edge, std::uint32_t ack, std::uint64_t now);
   void schedule_ack(std::size_t edge, std::uint64_t now);
-  void fire_entry(const TimerEntry& e, std::uint64_t now,
-                  const std::function<bool(NodeId)>& crashed, std::vector<Frame>& out);
+  void fire_entry(const TimerEntry& e, std::uint64_t now, const FaultPlan& faults,
+                  std::vector<Frame>& out);
 
   RtoSpec rto_;
 
@@ -170,10 +160,13 @@ class ReliableOverlay {
   std::vector<std::vector<Frame>> recv_buf_;
   std::vector<std::uint64_t> ack_due_;
 
-  std::vector<std::vector<TimerEntry>> timer_wheel_;
-  std::map<std::uint64_t, std::vector<TimerEntry>> far_timers_;
-  std::vector<TimerEntry> fire_scratch_;  // collect_due working set, reused
-  std::size_t live_timers_ = 0;           // armed retransmit + ack timers
+  // Timer entries are hints, not state: re-arming files a new entry and
+  // leaves the old one stale; the due arrays above are the ground truth,
+  // checked at fire time (and by next_event_round), so stale entries are
+  // dropped for free.  The event-driven advance may skip rounds holding
+  // only stale entries; they fire (and are discarded) a lap later.
+  RoundWheel<TimerEntry> timers_;
+  std::size_t live_timers_ = 0;  // armed retransmit + ack timers
 };
 
 }  // namespace dhc::congest

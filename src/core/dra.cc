@@ -30,9 +30,9 @@ DraComponent::DraComponent(NodeId n, std::uint16_t base_tag, const congest::Setu
 void DraComponent::start(Network& net) {
   DHC_CHECK(setup_->done(), "DraComponent started before setup finished");
   // Size the unused-edge slab exactly: one prefix-sum pass over the
-  // same-partition adjacency, then a single arena allocation replaces the
-  // former n per-node vectors.  start() runs serially (before any sharded
-  // step), and each node later fills only its own disjoint slice.
+  // same-partition adjacency, then a single slab replaces the former n
+  // per-node vectors.  start() runs serially (before any sharded step), and
+  // each node later fills only its own disjoint slice.
   const graph::Graph& g = net.graph();
   DHC_CHECK(g.adjacency().size() < std::uint64_t{1} << 32,
             "unused-edge slab offsets are u32; graph too large");
@@ -44,7 +44,7 @@ void DraComponent::start(Network& net) {
     }
     slab_base_[v + 1] = slab_base_[v] + cnt;
   }
-  unused_slab_ = arena_.alloc_array<NodeId>(slab_base_[n_]);
+  unused_slab_.assign(slab_base_[n_], 0);
   for (NodeId v = 0; v < n_; ++v) {
     if (setup_->is_leader(v)) net.wake(v);
   }

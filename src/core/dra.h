@@ -30,7 +30,6 @@
 #include "congest/setup.h"
 #include "core/result.h"
 #include "graph/graph.h"
-#include "support/arena.h"
 #include "support/atomic_stats.h"
 
 namespace dhc::core {
@@ -119,7 +118,7 @@ class DraComponent {
   /// Node `v`'s live slice of the unused-edge slab (first unused_len_[v]
   /// entries of its CSR row).
   std::span<NodeId> unused_list(NodeId v) {
-    return unused_slab_.subspan(slab_base_[v], unused_len_[v]);
+    return {unused_slab_.data() + slab_base_[v], unused_len_[v]};
   }
   /// Refills `v`'s slice with its same-partition neighbors; returns the new
   /// length.  Slices are disjoint per node, so parallel shards never alias.
@@ -153,11 +152,10 @@ class DraComponent {
   std::vector<std::uint8_t> flags_;
 
   // The per-node unused-edge lists (Alg. 1 line 3), flattened: one slab
-  // carved from the arena in start(), sliced by exact same-partition degree
-  // prefix sums.  Replaces n per-node std::vectors (24 B header + a heap
-  // block each) with 4 B/entry + 8 B/node of offsets.
-  support::Arena arena_;
-  std::span<NodeId> unused_slab_;
+  // sized in start(), sliced by exact same-partition degree prefix sums.
+  // Replaces n per-node std::vectors (24 B header + a heap block each) with
+  // 4 B/entry + 8 B/node of offsets.
+  std::vector<NodeId> unused_slab_;
   std::vector<std::uint32_t> slab_base_;  // n_+1 prefix sums into unused_slab_
   std::vector<std::uint32_t> unused_len_;
 

@@ -42,12 +42,12 @@ double parse_number(const std::string& what, const std::string& text) {
   return value;
 }
 
-std::vector<std::string> split_list(const std::string& what, const std::string& text) {
+std::vector<std::string> split_list(const std::string& what, const std::string& text, char sep) {
   if (text.empty()) throw std::invalid_argument(what + " has an empty value");
   std::vector<std::string> parts;
-  std::istringstream is(text + ",");
+  std::istringstream is(text + sep);
   std::string part;
-  while (std::getline(is, part, ',')) {
+  while (std::getline(is, part, sep)) {
     if (part.empty()) {
       throw std::invalid_argument(what + " has an empty list element in '" + text + "'");
     }

@@ -26,10 +26,11 @@ template <class T>
 T parse_integer(const std::string& what, const std::string& text);
 double parse_number(const std::string& what, const std::string& text);
 
-/// Splits a comma-separated list.  An empty value or an empty element
-/// throws: a trailing or doubled comma is always a typo, never a request for
-/// the empty string.
-std::vector<std::string> split_list(const std::string& what, const std::string& text);
+/// Splits a `sep`-separated list (comma by default; the fault and rto specs
+/// use ':').  An empty value or an empty element throws: a trailing or
+/// doubled separator is always a typo, never a request for the empty string.
+std::vector<std::string> split_list(const std::string& what, const std::string& text,
+                                    char sep = ',');
 
 /// Parsed command line: flags of the form --key=value (or bare --key,
 /// stored with value "true").  A positional argument or a repeated flag

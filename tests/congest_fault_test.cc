@@ -1,7 +1,8 @@
 // Tests for the fault-injection layer of the async execution model:
 // DelaySpec / CrashSpec parsing, FaultPlan hash purity and nesting, the
-// Network's delayed/dropped/crashed delivery semantics, and the boundary
-// behaviour of both wheels (wake-up and message delay) at kWheelSize.
+// Network's delayed/dropped/crashed delivery semantics, the RoundWheel's
+// drain and search contract, and the boundary behaviour of all three wheels
+// (wake-ups, async deliveries, overlay timers) at RoundWheel::kSize.
 #include "congest/fault_plan.h"
 
 #include <gtest/gtest.h>
@@ -10,12 +11,15 @@
 #include <set>
 
 #include "congest/network.h"
+#include "congest/round_wheel.h"
 #include "graph/generators.h"
 
 namespace dhc::congest {
 namespace {
 
 using graph::Graph;
+
+constexpr std::uint64_t kWheelSize = RoundWheel<NodeId>::kSize;
 
 class LambdaProtocol : public Protocol {
  public:
@@ -57,7 +61,8 @@ TEST(DelaySpec, RoundTripsThroughToString) {
 TEST(DelaySpec, RejectsMalformedSpecs) {
   for (const char* bad : {"", "nope", "fixed", "fixed:0", "fixed:x", "uniform:3",
                           "uniform:5:2", "uniform:0:4", "geometric:0", "geometric:1.5",
-                          "fixed:1:2"}) {
+                          "fixed:1:2", "fixed: 2", "fixed:+2", "fixed:2 ", "uniform:1::3",
+                          "geometric: 0.5", "geometric:+0.5"}) {
     EXPECT_THROW(DelaySpec::parse(bad), std::invalid_argument) << bad;
   }
 }
@@ -73,7 +78,8 @@ TEST(CrashSpec, ParsesAndRejects) {
   EXPECT_FALSE(CrashSpec::parse("none").active());
 
   for (const char* bad : {"", "crash", "random", "random:0.5", "random:0.5:1",
-                          "random:1.0:1:1", "random:-0.1:1:1", "random:0.5:1:1:9"}) {
+                          "random:1.0:1:1", "random:-0.1:1:1", "random:0.5:1:1:9",
+                          "random:0.1:+5:10", "random: 0.1:5:10", "random:0.1:5:10:"}) {
     EXPECT_THROW(CrashSpec::parse(bad), std::invalid_argument) << bad;
   }
 }
@@ -364,8 +370,89 @@ TEST_P(WheelBoundary, MessageDelayAroundTheWheelCapacityArrivesExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AroundKWheelSize, WheelBoundary,
-                         ::testing::Values(Network::kWheelSize - 1, Network::kWheelSize,
-                                           Network::kWheelSize + 1));
+                         ::testing::Values(kWheelSize - 1, kWheelSize, kWheelSize + 1));
+
+// The overlay's retransmit timer filed K rounds out: node 0's one message
+// reaches node 1 in its one-round crash window and is lost, so it arrives
+// only as the retransmit fired at round K, one round later.
+class OverlayWheelBoundary : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(OverlayWheelBoundary, RetransmitTimerAroundTheWheelCapacityFiresExactly) {
+  const std::uint64_t rto = GetParam();
+  const Graph g = graph::path_graph(2);
+  const CrashSpec crash = CrashSpec::parse("random:0.5:1:1");
+  // The first fault seed that crashes node 1, and only node 1, at round 1.
+  std::uint64_t seed = 0;
+  while (!FaultPlan({}, 0.0, crash, seed).crashed(1, 1) ||
+         FaultPlan({}, 0.0, crash, seed).crashed(0, 1)) {
+    ++seed;
+  }
+  FaultPlan plan({}, 0.0, crash, seed);
+  RtoSpec timeout;
+  timeout.initial = rto;
+  timeout.max = rto;
+  plan.set_reliability(ReliabilitySpec::parse("ack"), timeout);
+  NetworkConfig cfg;
+  cfg.faults = &plan;
+  Network net(g, cfg);
+  LambdaProtocol p;
+  std::vector<std::uint64_t> arrivals;
+  p.on_begin = [](Context& ctx) {
+    if (ctx.self() == 0) ctx.send(1, Message::make(2, {9}));
+  };
+  p.on_step = [&](Context& ctx) {
+    if (ctx.self() == 1 && !ctx.inbox().empty()) arrivals.push_back(ctx.round());
+  };
+  const auto metrics = net.run(p);
+  EXPECT_EQ(metrics.crash_dropped_messages, 1u);
+  EXPECT_EQ(metrics.retransmits, 1u);
+  EXPECT_EQ(arrivals, std::vector<std::uint64_t>{rto + 1});
+  EXPECT_FALSE(metrics.hit_round_limit);
+}
+
+INSTANTIATE_TEST_SUITE_P(AroundKWheelSize, OverlayWheelBoundary,
+                         ::testing::Values(kWheelSize - 1, kWheelSize, kWheelSize + 1));
+
+TEST(RoundWheel, DrainsFarEntriesBeforeTheBucketEachInPushOrder) {
+  RoundWheel<int> wheel;
+  wheel.push(0, kWheelSize + 5, 1);   // far
+  wheel.push(0, kWheelSize + 5, 2);   // far, same round
+  wheel.push(10, kWheelSize + 5, 3);  // bucket
+  wheel.push(10, kWheelSize + 5, 4);  // bucket
+  EXPECT_EQ(wheel.size(), 4u);
+  EXPECT_EQ(wheel.next_round(10), kWheelSize + 5);
+  std::vector<int> order;
+  EXPECT_FALSE(wheel.drain(kWheelSize + 5, [&](int item) { order.push_back(item); }));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_TRUE(wheel.empty());
+  EXPECT_EQ(wheel.next_round(kWheelSize + 5), RoundWheel<int>::kNever);
+}
+
+TEST(RoundWheel, ReportsAFarEntryDrainedAfterItsRound) {
+  RoundWheel<int> wheel;
+  wheel.push(0, kWheelSize + 1, 7);
+  std::vector<int> order;
+  EXPECT_TRUE(wheel.drain(kWheelSize + 2, [&](int item) { order.push_back(item); }));
+  EXPECT_EQ(order, std::vector<int>{7});
+}
+
+TEST(RoundWheel, NextRoundSkipsItemsTheOwnerCallsDead) {
+  RoundWheel<int> wheel;
+  wheel.push(0, 3, 0);               // dead
+  wheel.push(0, 5, 1);               // live
+  wheel.push(0, kWheelSize + 2, 1);  // live, far
+  const auto live = [](int item, std::uint64_t) { return item == 1; };
+  EXPECT_EQ(wheel.next_round(0), 3u);
+  EXPECT_EQ(wheel.next_round(0, live), 5u);
+  // Skipping round 3 leaves its dead item for a later lap of the same bucket.
+  std::vector<int> order;
+  wheel.drain(5, [&](int item) { order.push_back(item); });
+  EXPECT_EQ(wheel.next_round(5, live), kWheelSize + 2);
+  wheel.drain(kWheelSize + 2, [&](int item) { order.push_back(item); });
+  wheel.drain(kWheelSize + 3, [&](int item) { order.push_back(item); });
+  EXPECT_EQ(order, (std::vector<int>{1, 1, 0}));
+  EXPECT_TRUE(wheel.empty());
+}
 
 TEST(AsyncNetwork, FarDelaysBeyondTheWheelPreserveSendOrderPerEdge) {
   // Two messages on the same directed edge, sent in consecutive rounds with
@@ -373,7 +460,7 @@ TEST(AsyncNetwork, FarDelaysBeyondTheWheelPreserveSendOrderPerEdge) {
   const Graph g = graph::path_graph(2);
   DelaySpec spec;
   spec.kind = DelaySpec::Kind::kFixed;
-  spec.a = Network::kWheelSize + 50;
+  spec.a = kWheelSize + 50;
   const FaultPlan plan(spec, 0.0, {}, 3);
   NetworkConfig cfg;
   cfg.faults = &plan;

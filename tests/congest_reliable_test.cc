@@ -68,7 +68,8 @@ TEST(RtoSpec, RoundTripsThroughToString) {
 TEST(RtoSpec, RejectsMalformedSpecs) {
   for (const char* bad : {"", "rto", "rto:", "rto:0", "rto:x", "rto:4:0", "rto:4:x",
                           "rto:4:2:2", "rto:4:2:x", "rto:4:2:16:9", "4:2:16:9",
-                          "rto:2000000000", "rto:4:2:2000000000"}) {
+                          "rto:2000000000", "rto:4:2:2000000000", "rto: 4", "rto:+4:2:16",
+                          "rto:4:+2", "rto::4", "rto:4 "}) {
     EXPECT_THROW(RtoSpec::parse(bad), std::invalid_argument) << bad;
   }
 }

@@ -310,6 +310,18 @@ TEST(ScenarioFromSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(scenario_from_spec({{"sizes", "4294967312"}}), std::invalid_argument);
   EXPECT_THROW(scenario_from_spec({{"model", "kmachine"}, {"machines", "4294967298"}}),
                std::invalid_argument);
+  // Fault and rto specs take the same strict numbers: no sign, no space.
+  for (const char* delay : {"fixed: 2", "fixed:+2", "geometric: 0.5"}) {
+    EXPECT_THROW(scenario_from_spec({{"model", "async"}, {"delay_dist", delay}}),
+                 std::invalid_argument)
+        << delay;
+  }
+  EXPECT_THROW(scenario_from_spec({{"model", "async"}, {"crash_schedule", "random:0.1:+5:10"}}),
+               std::invalid_argument);
+  for (const char* rto : {"rto: 4", "rto:+4:2:16"}) {
+    EXPECT_THROW(scenario_from_spec({{"model", "async"}, {"rto", rto}}), std::invalid_argument)
+        << rto;
+  }
 }
 
 class ScenarioFileTest : public ::testing::Test {
