@@ -1,5 +1,6 @@
 #include "congest/fault_plan.h"
 
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -59,6 +60,13 @@ double parse_double(const std::string& s, const std::string& spec) {
   return support::parse_number("fault spec '" + spec + "'", s);
 }
 
+/// The shortest spelling that parses back to exactly `v` (0.5 → "0.5").
+std::string shortest(double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, end);
+}
+
 }  // namespace
 
 DelaySpec DelaySpec::parse(const std::string& spec) {
@@ -106,10 +114,8 @@ std::string DelaySpec::to_string() const {
       return "fixed:" + std::to_string(a);
     case Kind::kUniform:
       return "uniform:" + std::to_string(a) + ":" + std::to_string(b);
-    case Kind::kGeometric: {
-      std::string s = "geometric:" + std::to_string(p);
-      return s;
-    }
+    case Kind::kGeometric:
+      return "geometric:" + shortest(p);
   }
   return "none";
 }
@@ -140,7 +146,7 @@ CrashSpec CrashSpec::parse(const std::string& spec) {
 
 std::string CrashSpec::to_string() const {
   if (kind == Kind::kNone) return "none";
-  return "random:" + std::to_string(fraction) + ":" + std::to_string(start) + ":" +
+  return "random:" + shortest(fraction) + ":" + std::to_string(start) + ":" +
          std::to_string(duration);
 }
 

@@ -64,7 +64,9 @@ static_assert(sizeof(Message) == 28, "Message layout changed; arena_bytes_peak g
 /// a per-directed-link sequence number (0 = unstamped: reliability=none
 /// leaves both fields at 0) and `ack` the piggybacked cumulative ack for the
 /// reverse direction.  A frame with seq == 0 and ack > 0 is a standalone ack
-/// (transport-only, never delivered to the protocol).  Only the async delay
+/// (transport-only, never delivered to the protocol).  `edge` is the CSR id
+/// of the directed link msg.from → msg.to, fixed when the frame is filed, so
+/// nothing downstream looks the link up again.  Only the async delay
 /// structures and the overlay's buffers hold frames; maturation strips the
 /// header before the message reaches the inbox, so synchronous runs never
 /// carry it.  The header rides free in the bit accounting: real stacks fold
@@ -73,6 +75,7 @@ struct Frame {
   Message msg;
   std::uint32_t seq = 0;
   std::uint32_t ack = 0;
+  std::uint32_t edge = 0;
 };
 
 /// Bits for a message of `words` payload words when one word costs

@@ -179,14 +179,15 @@ void Network::enqueue_async(NodeId from, NodeId to, std::size_t edge_id, const M
   Frame frame{msg};
   frame.msg.from = from;
   frame.msg.to = to;
+  frame.edge = static_cast<std::uint32_t>(edge_id);
   // Reliable overlay: stamp a fresh seq + piggyback ack and buffer the copy
   // *before* the drop decision — a first send lost in transit must still be
   // retransmittable.
-  if (reliable_ != nullptr) reliable_->stamp_and_buffer(edge_id, frame, round_);
-  file_async(edge_id, frame);
+  if (reliable_ != nullptr) reliable_->stamp_and_buffer(frame, round_);
+  file_async(frame);
 }
 
-void Network::file_async(std::size_t edge_id, const Frame& frame) {
+void Network::file_async(const Frame& frame) {
   // Each directed link serializes at one message per round: a message
   // departs at the later of "now" and the link's next free slot, so a
   // same-round burst (legal here — a node answering several delayed
@@ -198,7 +199,7 @@ void Network::file_async(std::size_t edge_id, const Frame& frame) {
   // equal to the synchronous engine.
   const NodeId from = frame.msg.from;
   const NodeId to = frame.msg.to;
-  std::uint64_t& free_at = link_free_at_[edge_id];
+  std::uint64_t& free_at = link_free_at_[frame.edge];
   const std::uint64_t depart = std::max(round_, free_at);
   free_at = depart + 1;
   if (faults_->drop(from, to, round_)) {  // lost in transit; the slot is spent
@@ -221,7 +222,6 @@ void Network::service_transport() {
   reliable_->collect_due(round_, *faults_, transport_batch_);
   for (const Frame& f : transport_batch_) {
     const Message& m = f.msg;
-    const std::size_t edge_id = edge_offsets_[m.from] + graph_->neighbor_rank(m.from, m.to);
     if (f.seq != 0) {
       metrics_.retransmits += 1;
       metrics_.bits += message_bits_for(m.words, bits_per_word_);
@@ -230,7 +230,7 @@ void Network::service_transport() {
       metrics_.bits += message_bits_for(0, bits_per_word_);
     }
     metrics_.messages += 1;
-    file_async(edge_id, f);
+    file_async(f);
   }
 }
 
@@ -267,8 +267,7 @@ void Network::mature_async_messages() {
     // never reach the protocol (no activation, no received count); an
     // in-order payload releases any buffered successors with it, in seq
     // order.
-    const std::size_t edge = edge_offsets_[m.from] + graph_->neighbor_rank(m.from, m.to);
-    switch (reliable_->on_arrival(edge, f, round_)) {
+    switch (reliable_->on_arrival(f, round_)) {
       case ReliableOverlay::Arrival::kAck:
         break;
       case ReliableOverlay::Arrival::kBuffer:
@@ -279,7 +278,7 @@ void Network::mature_async_messages() {
       case ReliableOverlay::Arrival::kDeliver:
         deliver_one(m);
         drain_batch_.clear();
-        reliable_->drain_in_order(edge, drain_batch_);
+        reliable_->drain_in_order(f, drain_batch_);
         for (const Frame& d : drain_batch_) deliver_one(d.msg);
         break;
     }

@@ -16,7 +16,7 @@
 // is a span over that slice.  Wake-ups (and, under async delivery, pending
 // messages) live in a RoundWheel (congest/round_wheel.h): one bucket per
 // upcoming round, far-future items in an ordered far tier.  All arenas and
-// wheel buckets are reused across rounds.
+// wheel chunks are reused across rounds.
 //
 // One round engine (DESIGN.md §5): every round steps the id-sorted active
 // set into shard logs — sends, wake-ups, observer events — and a serial
@@ -329,10 +329,10 @@ class Network {
   /// section.  `edge_id` is from → to.
   void enqueue_async(NodeId from, NodeId to, std::size_t edge_id, const Message& msg);
   /// The transport tail of enqueue_async: link FIFO slot, drop decision,
-  /// delay assignment, wheel filing (frame.msg.from/to already set).  Also
-  /// carries the overlay's own traffic (retransmits, standalone acks), which
-  /// shares the fate machinery of first sends.
-  void file_async(std::size_t edge_id, const Frame& frame);
+  /// delay assignment, wheel filing (frame.msg.from/to and frame.edge
+  /// already set).  Also carries the overlay's own traffic (retransmits,
+  /// standalone acks), which shares the fate machinery of first sends.
+  void file_async(const Frame& frame);
   /// Fires the overlay timers due this round and files the resulting
   /// retransmit / standalone-ack messages (with Metrics accounting).
   void service_transport();

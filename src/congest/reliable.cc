@@ -10,8 +10,13 @@ namespace dhc::congest {
 
 namespace {
 
-// Keeps the backoff arithmetic (cur * mult, capped at max) far from overflow.
+// Keeps the backoff arithmetic (cur * mult, capped at max) far from overflow,
+// and every timeout within Endpoint::cur_rto's 31 bits.
 constexpr std::uint64_t kMaxTimeout = 1'000'000'000;
+static_assert(kMaxTimeout < (std::uint64_t{1} << 31));
+
+// The window ring's first size; it doubles whenever a send would overfill it.
+constexpr std::size_t kMinWindow = 4;
 
 }  // namespace
 
@@ -78,143 +83,156 @@ ReliableOverlay::ReliableOverlay(const graph::Graph& g, RtoSpec rto) : rto_(rto)
       reverse_edge_[e] = static_cast<std::uint32_t>(offsets[v] + g.neighbor_rank(v, u));
     }
   }
-  next_seq_.assign(total, 1);
-  acked_to_.assign(total, 0);
-  send_buf_.assign(total, {});
-  retrans_due_.assign(total, 0);
-  cur_rto_.assign(total, rto_.initial);
-  recv_next_.assign(total, 1);
-  recv_buf_.assign(total, {});
-  ack_due_.assign(total, 0);
+  Endpoint fresh;
+  fresh.cur_rto = static_cast<std::uint32_t>(rto_.initial);
+  endpoints_.assign(total, fresh);
+  window_.resize(total);
+  held_.resize(total);
 }
 
-void ReliableOverlay::stamp_and_buffer(std::size_t edge, Frame& frame, std::uint64_t now) {
-  const std::size_t rev = reverse_edge_[edge];
-  frame.seq = next_seq_[edge]++;
-  frame.ack = recv_next_[rev] - 1;
-  if (ack_due_[rev] != 0) {
+void ReliableOverlay::stamp_and_buffer(Frame& frame, std::uint64_t now) {
+  const std::uint32_t e = frame.edge;
+  Endpoint& ep = endpoints_[e];
+  frame.seq = ep.next_seq++;
+  frame.ack = ep.recv_next - 1;
+  if (ep.ack_due != 0) {
     // This send piggybacks the ack owed for the reverse direction.
-    ack_due_[rev] = 0;
+    ep.ack_due = 0;
     --live_timers_;
   }
-  send_buf_[edge].push_back(frame);
-  if (retrans_due_[edge] == 0) {
-    cur_rto_[edge] = rto_.initial;
-    retrans_due_[edge] = now + rto_.initial;
-    timers_.push(now, retrans_due_[edge],
-                 {static_cast<std::uint32_t>(edge), TimerKind::kRetransmit});
+  std::vector<Message>& ring = window_[e];
+  if (frame.seq - ep.acked_to > ring.size()) {
+    // Full: move the unacked seqs into a ring twice the size.
+    std::vector<Message> bigger(ring.empty() ? kMinWindow : 2 * ring.size());
+    for (std::uint32_t s = ep.acked_to + 1; s != frame.seq; ++s) {
+      bigger[s & (bigger.size() - 1)] = ring[s & (ring.size() - 1)];
+    }
+    ring.swap(bigger);
+  }
+  ring[frame.seq & (ring.size() - 1)] = frame.msg;
+  if (ep.retrans_due == 0) {
+    ep.cur_rto = static_cast<std::uint32_t>(rto_.initial);
+    ep.retrans_due = now + rto_.initial;
+    timers_.push(now, ep.retrans_due, {e, TimerKind::kRetransmit});
     ++live_timers_;
   }
 }
 
-void ReliableOverlay::process_ack(std::size_t edge, std::uint32_t ack, std::uint64_t now) {
-  if (ack <= acked_to_[edge]) return;
-  acked_to_[edge] = ack;
-  auto& buf = send_buf_[edge];
-  std::size_t k = 0;
-  while (k < buf.size() && buf[k].seq <= ack) ++k;
-  if (k != 0) buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(k));
-  if (retrans_due_[edge] == 0) return;
-  if (buf.empty()) {
-    retrans_due_[edge] = 0;
+void ReliableOverlay::process_ack(std::uint32_t e, std::uint32_t ack, std::uint64_t now) {
+  Endpoint& ep = endpoints_[e];
+  if (ack <= ep.acked_to) return;
+  ep.acked_to = ack;  // drops every seq <= ack from the window
+  if (ep.retrans_due == 0) return;
+  ep.cur_rto = static_cast<std::uint32_t>(rto_.initial);
+  if (ep.acked_to + 1 == ep.next_seq) {
+    ep.retrans_due = 0;
     --live_timers_;
-    cur_rto_[edge] = rto_.initial;
   } else {
     // Ack progress restarts the timer (fresh timeout) for the new oldest
     // unacked message; the old wheel entry goes stale.
-    cur_rto_[edge] = rto_.initial;
-    retrans_due_[edge] = now + rto_.initial;
-    timers_.push(now, retrans_due_[edge],
-                 {static_cast<std::uint32_t>(edge), TimerKind::kRetransmit});
+    ep.retrans_due = now + rto_.initial;
+    timers_.push(now, ep.retrans_due, {e, TimerKind::kRetransmit});
   }
 }
 
-void ReliableOverlay::schedule_ack(std::size_t edge, std::uint64_t now) {
-  if (ack_due_[edge] != 0) return;
-  ack_due_[edge] = now + 1;
-  timers_.push(now, now + 1, {static_cast<std::uint32_t>(edge), TimerKind::kAck});
+void ReliableOverlay::schedule_ack(std::uint32_t e, std::uint64_t now) {
+  Endpoint& ep = endpoints_[e];
+  if (ep.ack_due != 0) return;
+  ep.ack_due = now + 1;
+  timers_.push(now, now + 1, {e, TimerKind::kAck});
   ++live_timers_;
 }
 
-ReliableOverlay::Arrival ReliableOverlay::on_arrival(std::size_t edge, const Frame& frame,
-                                                     std::uint64_t now) {
-  process_ack(reverse_edge_[edge], frame.ack, now);
+ReliableOverlay::Arrival ReliableOverlay::on_arrival(const Frame& frame, std::uint64_t now) {
+  // The receiver's endpoint: its sending state takes the piggybacked ack,
+  // its receiving state the payload.
+  const std::uint32_t e = reverse_edge_[frame.edge];
+  process_ack(e, frame.ack, now);
   if (frame.seq == 0) return Arrival::kAck;
-  schedule_ack(edge, now);
+  schedule_ack(e, now);
+  Endpoint& ep = endpoints_[e];
   const std::uint32_t seq = frame.seq;
-  if (seq < recv_next_[edge]) return Arrival::kDuplicate;
-  if (seq == recv_next_[edge]) {
-    recv_next_[edge] += 1;
+  if (seq < ep.recv_next) return Arrival::kDuplicate;
+  if (seq == ep.recv_next) {
+    ep.recv_next += 1;
     return Arrival::kDeliver;
   }
   // Ahead of order: insert by seq (links are FIFO, so arrivals are already
   // near-sorted and this scans at most a few tail slots).
-  auto& buf = recv_buf_[edge];
+  auto& buf = held_[e];
   std::size_t pos = buf.size();
   while (pos > 0 && buf[pos - 1].seq >= seq) {
     if (buf[pos - 1].seq == seq) return Arrival::kDuplicate;
     --pos;
   }
   buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(pos), frame);
+  ep.holding = 1;
   return Arrival::kBuffer;
 }
 
-void ReliableOverlay::drain_in_order(std::size_t edge, std::vector<Frame>& out) {
-  auto& buf = recv_buf_[edge];
+void ReliableOverlay::drain_in_order(const Frame& frame, std::vector<Frame>& out) {
+  const std::uint32_t e = reverse_edge_[frame.edge];
+  Endpoint& ep = endpoints_[e];
+  if (ep.holding == 0) return;
+  auto& buf = held_[e];
   std::size_t k = 0;
-  while (k < buf.size() && buf[k].seq == recv_next_[edge]) {
+  while (k < buf.size() && buf[k].seq == ep.recv_next) {
     out.push_back(buf[k]);
-    recv_next_[edge] += 1;
+    ep.recv_next += 1;
     ++k;
   }
-  if (k != 0) buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(k));
+  buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(k));
+  ep.holding = buf.empty() ? 0 : 1;
 }
 
 void ReliableOverlay::fire_entry(const TimerEntry& t, std::uint64_t now, const FaultPlan& faults,
                                  std::vector<Frame>& out) {
-  const std::size_t e = t.edge;
+  const std::uint32_t e = t.endpoint;
+  Endpoint& ep = endpoints_[e];
   if (t.kind == TimerKind::kRetransmit) {
-    if (retrans_due_[e] != now) return;  // stale hint
-    auto& buf = send_buf_[e];
-    if (buf.empty()) {
-      retrans_due_[e] = 0;
+    if (ep.retrans_due != now) return;  // stale hint
+    if (ep.acked_to + 1 == ep.next_seq) {
+      ep.retrans_due = 0;
       --live_timers_;
       return;
     }
     if (faults.crashed(edge_tail_[e], now)) {
-      // A crashed sender can't act; the buffer survives and the timer
+      // A crashed sender can't act; the window survives and the timer
       // re-arms at the same timeout (the crash, not congestion, is the
       // cause) so retransmission resumes after the rejoin.
-      retrans_due_[e] = now + cur_rto_[e];
-      timers_.push(now, retrans_due_[e], {t.edge, TimerKind::kRetransmit});
+      ep.retrans_due = now + ep.cur_rto;
+      timers_.push(now, ep.retrans_due, t);
       return;
     }
     // Go-back-N: re-send every unacked message with a refreshed piggyback
     // ack (which also covers any standalone ack owed on the reverse link).
-    const std::size_t rev = reverse_edge_[e];
-    const std::uint32_t piggy = recv_next_[rev] - 1;
-    if (ack_due_[rev] != 0) {
-      ack_due_[rev] = 0;
+    const std::uint32_t piggy = ep.recv_next - 1;
+    if (ep.ack_due != 0) {
+      ep.ack_due = 0;
       --live_timers_;
     }
-    for (const Frame& f : buf) out.emplace_back(f).ack = piggy;
-    cur_rto_[e] = std::min(cur_rto_[e] * rto_.mult, rto_.max);
-    retrans_due_[e] = now + cur_rto_[e];
-    timers_.push(now, retrans_due_[e], {t.edge, TimerKind::kRetransmit});
+    const std::vector<Message>& ring = window_[e];
+    for (std::uint32_t s = ep.acked_to + 1; s != ep.next_seq; ++s) {
+      out.push_back({ring[s & (ring.size() - 1)], s, piggy, e});
+    }
+    ep.cur_rto = static_cast<std::uint32_t>(std::min(ep.cur_rto * rto_.mult, rto_.max));
+    ep.retrans_due = now + ep.cur_rto;
+    timers_.push(now, ep.retrans_due, t);
   } else {
-    if (ack_due_[e] != now) return;  // stale hint
-    const std::size_t rev = reverse_edge_[e];
-    if (faults.crashed(edge_tail_[rev], now)) {
-      // The ack is owed by e's head, which is crashed; retry next round.
-      ack_due_[e] = now + 1;
-      timers_.push(now, ack_due_[e], {t.edge, TimerKind::kAck});
+    if (ep.ack_due != now) return;  // stale hint
+    if (faults.crashed(edge_tail_[e], now)) {
+      // The ack is owed by e's tail, which is crashed; retry next round.
+      ep.ack_due = now + 1;
+      timers_.push(now, ep.ack_due, t);
       return;
     }
-    Frame& ack = out.emplace_back();  // standalone ack: seq 0, no payload
-    ack.msg.from = edge_tail_[rev];
-    ack.msg.to = edge_tail_[e];
-    ack.ack = recv_next_[e] - 1;
-    ack_due_[e] = 0;
+    // Standalone ack on e itself: seq 0, no payload.
+    Frame& ack = out.emplace_back();
+    ack.msg.from = edge_tail_[e];
+    ack.msg.to = edge_tail_[reverse_edge_[e]];
+    ack.ack = ep.recv_next - 1;
+    ack.edge = e;
+    ep.ack_due = 0;
     --live_timers_;
   }
 }
@@ -233,8 +251,8 @@ void ReliableOverlay::collect_due(std::uint64_t now, const FaultPlan& faults,
 std::uint64_t ReliableOverlay::next_event_round(std::uint64_t now) const {
   if (live_timers_ == 0) return RoundWheel<TimerEntry>::kNever;
   return timers_.next_round(now, [&](const TimerEntry& t, std::uint64_t fire) {
-    return t.kind == TimerKind::kRetransmit ? retrans_due_[t.edge] == fire
-                                            : ack_due_[t.edge] == fire;
+    const Endpoint& ep = endpoints_[t.endpoint];
+    return (t.kind == TimerKind::kRetransmit ? ep.retrans_due : ep.ack_due) == fire;
   });
 }
 

@@ -17,6 +17,17 @@
 //   - the receiver delivers in order exactly once: stale seqs are counted as
 //     duplicates and re-acked, ahead-of-order seqs are buffered.
 //
+// Layout: one 32-byte Endpoint per directed edge e = u→v, owned by u.  It
+// holds the sending state of e and the receiving state of reverse(e), which
+// is everything u keeps about its link to v, so every overlay event touches
+// exactly one endpoint: a send stamped on e and a retransmit of e use E[e],
+// an arrival on e uses E[reverse(e)], and an ack timer is keyed by the
+// endpoint that owes the ack.  The unacked window is always the seqs
+// acked_to+1 .. next_seq-1, kept in a power-of-two ring indexed by seq, so
+// an ack only moves acked_to.  Ahead-of-order arrivals wait in a sorted
+// per-endpoint vector that an in-order delivery never touches (a flag in
+// the endpoint says whether it holds anything).
+//
 // Determinism: the overlay consumes no RNG stream — all state transitions
 // are pure functions of the (deterministic) send/arrival/timer schedule, and
 // retransmitted messages flow through the same FaultPlan hash decisions as
@@ -80,7 +91,8 @@ struct ReliabilitySpec {
 /// Per-link reliable-channel state machine.  Owned by the Network and driven
 /// from its serial paths only; the Network remains responsible for routing
 /// the messages this class produces through the FaultPlan (drops, delays,
-/// link FIFO) and for all Metrics accounting.
+/// link FIFO) and for all Metrics accounting.  Frames carry their directed
+/// edge (Frame::edge), which is how the overlay finds a link's state.
 class ReliableOverlay {
  public:
   ReliableOverlay(const graph::Graph& g, RtoSpec rto);
@@ -93,20 +105,20 @@ class ReliableOverlay {
     kAck,        ///< standalone ack: transport-only, nothing to deliver
   };
 
-  /// Sender path, called for every protocol send on directed edge `edge`
-  /// (frame.msg.from/to already set).  Stamps a fresh sequence number and the
-  /// piggybacked cumulative ack for the reverse direction, buffers a
+  /// Sender path, called for every protocol send (frame.msg.from/to and
+  /// frame.edge already set).  Stamps a fresh sequence number and the
+  /// piggybacked cumulative ack for the reverse direction, keeps a
   /// retransmit copy, and arms the link's timer if idle.
-  void stamp_and_buffer(std::size_t edge, Frame& frame, std::uint64_t now);
+  void stamp_and_buffer(Frame& frame, std::uint64_t now);
 
-  /// Receiver path, called for every matured arrival on `edge` (the sending
-  /// direction's id).  Processes the piggybacked ack against the reverse
-  /// link, schedules the ack owed for payload, and classifies the payload.
-  Arrival on_arrival(std::size_t edge, const Frame& frame, std::uint64_t now);
+  /// Receiver path, called for every matured arrival.  Processes the
+  /// piggybacked ack against the reverse link, schedules the ack owed for
+  /// payload, and classifies the payload.
+  Arrival on_arrival(const Frame& frame, std::uint64_t now);
 
-  /// After a kDeliver: appends the buffered messages that became in-order,
-  /// in sequence order, and advances the receive cursor past them.
-  void drain_in_order(std::size_t edge, std::vector<Frame>& out);
+  /// After a kDeliver of `frame`: appends the held messages that became
+  /// in-order, in sequence order, and advances the receive cursor past them.
+  void drain_in_order(const Frame& frame, std::vector<Frame>& out);
 
   /// Fires every timer due at `now`, appending the frames the transport
   /// owes the network — retransmit copies (seq > 0, refreshed ack) and
@@ -123,18 +135,32 @@ class ReliableOverlay {
   /// folded into the engine's event-driven round advance.
   std::uint64_t next_event_round(std::uint64_t now) const;
 
-  std::size_t reverse_edge(std::size_t edge) const { return reverse_edge_[edge]; }
-
  private:
+  /// Endpoint e = u→v, owned by u.  Sending state of e: the unacked seqs
+  /// are acked_to+1 .. next_seq-1; retrans_due == 0 means the timer is
+  /// disarmed (timers always fire at rounds >= 1).  Receiving state of
+  /// reverse(e) = v→u: the next expected seq, the round u owes v a
+  /// standalone ack at (0 = none pending), and whether held_[e] is nonempty.
+  struct Endpoint {
+    std::uint32_t next_seq = 1;
+    std::uint32_t acked_to = 0;
+    std::uint64_t retrans_due = 0;
+    std::uint32_t recv_next = 1;
+    std::uint32_t cur_rto : 31 = 0;  // timeouts are capped at 1e9 < 2^31
+    std::uint32_t holding : 1 = 0;
+    std::uint64_t ack_due = 0;
+  };
+  static_assert(sizeof(Endpoint) == 32, "Endpoint is one 32-byte record per directed edge");
+
   enum class TimerKind : std::uint8_t { kRetransmit, kAck };
   struct TimerEntry {
-    std::uint32_t edge = 0;
+    std::uint32_t endpoint = 0;
     TimerKind kind = TimerKind::kRetransmit;
   };
 
-  void process_ack(std::size_t edge, std::uint32_t ack, std::uint64_t now);
-  void schedule_ack(std::size_t edge, std::uint64_t now);
-  void fire_entry(const TimerEntry& e, std::uint64_t now, const FaultPlan& faults,
+  void process_ack(std::uint32_t e, std::uint32_t ack, std::uint64_t now);
+  void schedule_ack(std::uint32_t e, std::uint64_t now);
+  void fire_entry(const TimerEntry& t, std::uint64_t now, const FaultPlan& faults,
                   std::vector<Frame>& out);
 
   RtoSpec rto_;
@@ -144,26 +170,17 @@ class ReliableOverlay {
   std::vector<std::uint32_t> reverse_edge_;
   std::vector<NodeId> edge_tail_;
 
-  // Sender state, per directed edge.  send_buf_ holds unacked messages in
-  // seq order; retrans_due_ == 0 means the timer is disarmed (timers always
-  // fire at rounds >= 1).
-  std::vector<std::uint32_t> next_seq_;
-  std::vector<std::uint32_t> acked_to_;
-  std::vector<std::vector<Frame>> send_buf_;
-  std::vector<std::uint64_t> retrans_due_;
-  std::vector<std::uint64_t> cur_rto_;
-
-  // Receiver state, per directed edge: next expected seq, the out-of-order
-  // buffer (sorted by seq), and the round a standalone ack is owed at
-  // (0 = none pending).
-  std::vector<std::uint32_t> recv_next_;
-  std::vector<std::vector<Frame>> recv_buf_;
-  std::vector<std::uint64_t> ack_due_;
+  std::vector<Endpoint> endpoints_;
+  // Per endpoint: the unacked messages of e, seq s at window_[e][s & mask]
+  // (size 0 or a power of two, grown on demand), and the ahead-of-order
+  // frames from reverse(e), sorted by seq.
+  std::vector<std::vector<Message>> window_;
+  std::vector<std::vector<Frame>> held_;
 
   // Timer entries are hints, not state: re-arming files a new entry and
-  // leaves the old one stale; the due arrays above are the ground truth,
-  // checked at fire time (and by next_event_round), so stale entries are
-  // dropped for free.  The event-driven advance may skip rounds holding
+  // leaves the old one stale; the endpoints' due rounds are the ground
+  // truth, checked at fire time (and by next_event_round), so stale entries
+  // are dropped for free.  The event-driven advance may skip rounds holding
   // only stale entries; they fire (and are discarded) a lap later.
   RoundWheel<TimerEntry> timers_;
   std::size_t live_timers_ = 0;  // armed retransmit + ack timers

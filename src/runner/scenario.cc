@@ -381,6 +381,9 @@ Scenario scenario_from_spec(const std::map<std::string, std::string>& spec) {
     it->second(s, "scenario key '" + key + "'", value);
   }
   s.validate();
+  for (auto& text : s.delay_dists) text = congest::DelaySpec::parse(text).to_string();
+  for (auto& text : s.crash_schedules) text = congest::CrashSpec::parse(text).to_string();
+  s.rto = congest::RtoSpec::parse(s.rto).to_string();
   return s;
 }
 

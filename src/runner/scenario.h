@@ -172,7 +172,9 @@ std::vector<TrialConfig> expand(const Scenario& s);
 /// merges, machines, bandwidth, seeds, seed, delay_dist, drop_prob,
 /// crash_schedule, reliability, rto, max_rounds.  List values are
 /// comma-separated; every value must parse whole into its field's type.
-/// Unknown keys and malformed or out-of-range values throw
+/// Fault and rto specs are stored in the spelling their to_string() prints
+/// (geometric:0.50 → geometric:0.5, 4:2:16 → rto:4:2:16), so one config has
+/// one artifact.  Unknown keys and malformed or out-of-range values throw
 /// std::invalid_argument.
 Scenario scenario_from_spec(const std::map<std::string, std::string>& spec);
 

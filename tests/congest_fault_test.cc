@@ -454,6 +454,36 @@ TEST(RoundWheel, NextRoundSkipsItemsTheOwnerCallsDead) {
   EXPECT_TRUE(wheel.empty());
 }
 
+TEST(RoundWheel, StorageIsBoundedByLiveItems) {
+  // A burst filed one round ahead and drained, every round for three laps,
+  // so every bucket takes the burst in turn.  Drained chunks go back to the
+  // wheel's pool, so storage stays at the burst, not at kSize bursts.
+  constexpr int kBurst = 10'000;
+  constexpr std::size_t kBound = kBurst + kWheelSize * RoundWheel<int>::kChunk;
+  RoundWheel<int> wheel;
+  std::uint64_t r = 0;
+  for (; r < 3 * kWheelSize; ++r) {
+    for (int i = 0; i < kBurst; ++i) wheel.push(r, r + 1, i);
+    int next = 0;
+    wheel.drain(r + 1, [&](int item) { next += item == next ? 1 : kBurst + 1; });
+    ASSERT_EQ(next, kBurst) << "round " << r + 1 << " lost push order";
+    ASSERT_LE(wheel.capacity(), kBound) << "round " << r + 1;
+  }
+  // The same while drain's visit re-files each item one round ahead: the
+  // chunks being visited stay valid while the pushes draw on the pool.
+  for (int i = 0; i < kBurst; ++i) wheel.push(r, r + 1, i);
+  for (const std::uint64_t end = r + 3 * kWheelSize; ++r < end;) {
+    int next = 0;
+    wheel.drain(r, [&](int item) {
+      next += item == next ? 1 : kBurst + 1;
+      wheel.push(r, r + 1, item);
+    });
+    ASSERT_EQ(next, kBurst) << "round " << r << " lost push order";
+    ASSERT_LE(wheel.capacity(), kBound) << "round " << r;
+  }
+  EXPECT_EQ(wheel.size(), static_cast<std::size_t>(kBurst));
+}
+
 TEST(AsyncNetwork, FarDelaysBeyondTheWheelPreserveSendOrderPerEdge) {
   // Two messages on the same directed edge, sent in consecutive rounds with
   // a far (beyond-the-wheel) fixed latency, must arrive in send order.

@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <map>
+#include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -88,6 +90,18 @@ TEST(ReliabilitySpec, ParsesAndRejects) {
 
 // --- end-to-end delivery contract ------------------------------------------
 
+/// Each directed link's received payload words, keyed (from, to).
+using LinkLog = std::map<std::pair<NodeId, NodeId>, std::vector<std::int64_t>>;
+
+/// Folds per-receiver journals (receiver → sender → words) into a LinkLog.
+LinkLog by_link(const std::vector<std::map<NodeId, std::vector<std::int64_t>>>& received_by) {
+  LinkLog out;
+  for (NodeId to = 0; to < received_by.size(); ++to) {
+    for (const auto& [from, seqs] : received_by[to]) out[{from, to}] = seqs;
+  }
+  return out;
+}
+
 /// Every node sends the numbered messages 1..K to every neighbor, one per
 /// round, then goes quiet.  Receivers journal each arrival per directed
 /// link, in per-receiver state so sharded rounds never share a container.
@@ -110,13 +124,7 @@ class FloodProtocol : public Protocol {
     }
   }
 
-  std::map<std::pair<NodeId, NodeId>, std::vector<std::int64_t>> received() const {
-    std::map<std::pair<NodeId, NodeId>, std::vector<std::int64_t>> out;
-    for (NodeId to = 0; to < received_by_.size(); ++to) {
-      for (const auto& [from, seqs] : received_by_[to]) out[{from, to}] = seqs;
-    }
-    return out;
-  }
+  LinkLog received() const { return by_link(received_by_); }
 
  private:
   std::uint64_t k_;
@@ -126,7 +134,7 @@ class FloodProtocol : public Protocol {
 
 struct FloodRun {
   Metrics metrics;
-  std::map<std::pair<NodeId, NodeId>, std::vector<std::int64_t>> received;
+  LinkLog received;
 };
 
 FloodRun run_flood(const Graph& g, std::uint64_t k, const DelaySpec& delay, double drop,
@@ -260,6 +268,109 @@ TEST(ReliableOverlay, LosslessPlanNeverEngagesTheOverlay) {
   EXPECT_EQ(with_ack.rounds, without.rounds);
   EXPECT_EQ(with_ack.bits, without.bits);
   EXPECT_EQ(ack_p.received(), none_p.received());
+}
+
+/// Every node sends two bursts of kBurst numbered messages to every
+/// neighbor — all of a burst in one round, legal under async because each
+/// link's FIFO serialises it — so send windows run kBurst or more deep and
+/// wrap the overlay's window ring.  Receivers fold every delivery into a
+/// digest of (round, receiver, sender, value), which pins the whole arrival
+/// schedule, and journal each link's values for the exactly-once check.
+class BurstProtocol : public Protocol {
+ public:
+  static constexpr std::int64_t kBurst = 12;
+  static constexpr std::uint64_t kGap = 5;  // rounds between the two bursts
+
+  explicit BurstProtocol(NodeId n)
+      : bursts_(n, 0), burst_at_(n, 1), digest_(n, kFnvBasis), received_by_(n) {}
+
+  void begin(Context& ctx) override { ctx.wake_in(1); }
+
+  void step(Context& ctx) override {
+    const NodeId self = ctx.self();
+    for (const Message& m : ctx.inbox()) {
+      received_by_[self][m.from].push_back(m.data[0]);
+      for (const std::uint64_t word :
+           {ctx.round(), std::uint64_t{m.from}, std::uint64_t{m.data[0]}}) {
+        digest_[self] = (digest_[self] ^ word) * kFnvPrime;
+      }
+    }
+    if (bursts_[self] < 2 && ctx.round() >= burst_at_[self]) {
+      const std::int64_t base = kBurst * bursts_[self]++;
+      for (std::int64_t i = 1; i <= kBurst; ++i) {
+        for (const NodeId v : ctx.neighbors()) ctx.send(v, Message::make(1, {base + i}));
+      }
+      if (bursts_[self] < 2) {
+        burst_at_[self] = ctx.round() + kGap;
+        ctx.wake_in(kGap);
+      }
+    }
+  }
+
+  /// One digest over every receiver's digest, in node order.
+  std::uint64_t digest() const {
+    std::uint64_t h = kFnvBasis;
+    for (const std::uint64_t d : digest_) h = (h ^ d) * kFnvPrime;
+    return h;
+  }
+
+  LinkLog received() const { return by_link(received_by_); }
+
+ private:
+  static constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+  static constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+  std::vector<std::int64_t> bursts_;
+  std::vector<std::uint64_t> burst_at_;  // round of the next burst
+  std::vector<std::uint64_t> digest_;
+  std::vector<std::map<NodeId, std::vector<std::int64_t>>> received_by_;
+};
+
+TEST(ReliableOverlay, BurstScheduleMatchesParent) {
+  // The constants were recorded before the overlay's per-link state moved
+  // into one endpoint struct with a seq-indexed window ring; any change to
+  // the timer schedule, the ack policy or the retransmit order moves them.
+  struct Case {
+    const char* delay;
+    double drop;
+    const char* crash;
+    std::uint64_t messages, retransmits, acks_sent, dup_suppressed, rounds, digest;
+  };
+  const Case cases[] = {
+      {"none", 0.25, "none", 39941, 20952, 16493, 14966, 536, 1407548399856798835ull},
+      {"none", 0.4, "none", 37695, 21707, 13492, 11787, 574, 3478758838801850791ull},
+      {"uniform:1:4", 0.25, "none", 38018, 19763, 15759, 14146, 496, 2031203512286110603ull},
+      {"none", 0.25, "random:0.2:8:10", 37587, 19731, 15360, 13764, 483,
+       15120743203629190365ull},
+  };
+  support::Rng rng(2024);
+  const Graph g = graph::gnp(20, 0.3, rng);
+  for (const Case& c : cases) {
+    FaultPlan plan(DelaySpec::parse(c.delay), c.drop, CrashSpec::parse(c.crash), 31,
+                   /*round_limit=*/200000);
+    plan.set_reliability(ReliabilitySpec::parse("ack"), RtoSpec{});
+    NetworkConfig cfg;
+    cfg.faults = &plan;
+    Network net(g, cfg);
+    BurstProtocol p(g.n());
+    const Metrics m = net.run(p);
+    const std::string where =
+        std::string(c.delay) + " drop " + std::to_string(c.drop) + " " + c.crash;
+    EXPECT_FALSE(m.hit_round_limit) << where;
+    EXPECT_EQ(m.crash_dropped_messages > 0, std::string(c.crash) != "none") << where;
+    EXPECT_EQ(m.messages, c.messages) << where;
+    EXPECT_EQ(m.retransmits, c.retransmits) << where;
+    EXPECT_EQ(m.acks_sent, c.acks_sent) << where;
+    EXPECT_EQ(m.dup_suppressed, c.dup_suppressed) << where;
+    EXPECT_EQ(m.rounds, c.rounds) << where;
+    EXPECT_EQ(p.digest(), c.digest) << where;
+    std::vector<std::int64_t> one_through_k(2 * BurstProtocol::kBurst);
+    std::iota(one_through_k.begin(), one_through_k.end(), 1);
+    for (const auto& [link, values] : p.received()) {
+      EXPECT_EQ(values, one_through_k) << where << " link " << link.first << "->" << link.second;
+    }
+    EXPECT_EQ(p.received().size(), 2 * g.m()) << where;
+  }
 }
 
 TEST(ReliableOverlay, ReplaysBitwiseIdenticallyAcrossRuns) {

@@ -232,5 +232,41 @@ TEST(Artifact, TrialStatsKeySetsArePinnedPerModel) {
   EXPECT_EQ(keys_of({{"algos", "cre"}}), with(oracle, {"resamples"}));
 }
 
+std::string json_artifact(const std::map<std::string, std::string>& spec) {
+  const Scenario s = scenario_from_spec(spec);
+  const auto trials = expand(s);
+  std::ostringstream js;
+  write_json(js, s.name, aggregate(trials, run_trials(trials, {.threads = 2})));
+  return js.str();
+}
+
+TEST(Artifact, EverySpellingOfAFaultSpecGivesOneArtifact) {
+  // Each spec value is stored as its to_string() spelling at load, so two
+  // spellings of one config give byte-identical artifacts.
+  const std::map<std::string, std::string> base = {
+      {"name", "spelling"}, {"algos", "dra"},          {"model", "async"},
+      {"sizes", "32"},      {"deltas", "1.0"},         {"seeds", "1"},
+      {"drop_prob", "0.05"}, {"reliability", "ack"}};
+  struct Spelling {
+    const char* key;
+    const char* typed;
+    const char* canonical;
+  };
+  for (const Spelling& sp : {Spelling{"delay_dist", "geometric:0.50", "geometric:0.5"},
+                             Spelling{"delay_dist", "fixed:02", "fixed:2"},
+                             Spelling{"rto", "rto:4", "rto:4:2:16"},
+                             Spelling{"rto", "4:2:16", "rto:4:2:16"},
+                             Spelling{"crash_schedule", "random:0.10:5:10", "random:0.1:5:10"}}) {
+    auto typed = base;
+    typed[sp.key] = sp.typed;
+    auto canonical = base;
+    canonical[sp.key] = sp.canonical;
+    const std::string json = json_artifact(canonical);
+    EXPECT_EQ(json_artifact(typed), json) << sp.key << "=" << sp.typed;
+    EXPECT_NE(json.find(std::string("\"") + sp.canonical + "\""), std::string::npos)
+        << sp.canonical;
+  }
+}
+
 }  // namespace
 }  // namespace dhc::runner
