@@ -55,7 +55,9 @@ struct HyperLink {
 class Dhc1Protocol : public congest::Protocol {
  public:
   Dhc1Protocol(NodeId n, std::uint32_t num_colors, const Dhc1Config& cfg)
-      : n_(n), num_colors_(num_colors), cfg_(cfg), colors_(n, 0) {
+      : n_(n),
+        hyper_step_multiplier_(cfg.hyper_step_multiplier),
+        phase1_(n, num_colors, cfg.dra) {
     is_agent_.assign(n, 0);
     is_partner_.assign(n, 0);
     partner_of_.assign(n, kNoNode);
@@ -71,32 +73,15 @@ class Dhc1Protocol : public congest::Protocol {
     up_min_.assign(n, kNoHyper);
   }
 
-  void begin(Context& ctx) override {
-    colors_[ctx.self()] = static_cast<std::uint32_t>(ctx.rng().below(num_colors_));
-  }
+  void begin(Context& ctx) override { phase1_.begin(ctx); }
 
   // -- stage routing ---------------------------------------------------
 
   void step(Context& ctx) override {
-    switch (stage_) {
-      case Stage::kGlobalSetup:
-        global_setup_->step(ctx);
-        return;
-      case Stage::kPartitionSetup:
-        partition_setup_->step(ctx);
-        return;
-      case Stage::kDra:
-        dra_->step(ctx);
-        return;
-      case Stage::kPickStage:
-      case Stage::kAnnounceStage:
-      case Stage::kCensus:
-      case Stage::kHyper:
-        phase2_step(ctx);
-        return;
-      case Stage::kInit:
-      case Stage::kDone:
-        return;
+    if (stage_ == Stage::kPhase1) {
+      phase1_.step(ctx);
+    } else if (stage_ != Stage::kDone) {
+      phase2_step(ctx);
     }
   }
 
@@ -107,41 +92,14 @@ class Dhc1Protocol : public congest::Protocol {
     // through shared protocol scalars (head_, hyper_steps_, hyper_done_,
     // the census results) as a simulator shortcut; those sparse rounds step
     // sequentially under every shard count.
-    return stage_ == Stage::kInit || stage_ == Stage::kGlobalSetup ||
-           stage_ == Stage::kPartitionSetup || stage_ == Stage::kDra;
+    return stage_ == Stage::kPhase1;
   }
 
   bool on_quiescence(Network& net) override {
     switch (stage_) {
-      case Stage::kInit:
-        global_setup_.emplace(n_, /*base_tag=*/1);
-        net.mark_phase("global_setup");
-        stage_ = Stage::kGlobalSetup;
-        global_setup_->advance(net);
-        return true;
-      case Stage::kGlobalSetup:
-        global_setup_->advance(net);
-        if (global_setup_->done()) {
-          net.set_barrier_cost(2ULL * global_setup_->tree_depth(0) + 2);
-          partition_setup_.emplace(n_, /*base_tag=*/8, colors_);
-          net.mark_phase("partition_setup");
-          stage_ = Stage::kPartitionSetup;
-          partition_setup_->advance(net);
-        }
-        return true;
-      case Stage::kPartitionSetup:
-        partition_setup_->advance(net);
-        if (partition_setup_->done()) {
-          dra_.emplace(n_, /*base_tag=*/16, &*partition_setup_, cfg_.dra);
-          net.mark_phase("dra");
-          stage_ = Stage::kDra;
-          dra_->start(net);
-        }
-        return true;
-      case Stage::kDra:
-        if (!dra_->all_succeeded()) {
-          failure_ = "Phase 1 failed: " + std::to_string(dra_->aborted_groups()) +
-                     " partition(s) aborted";
+      case Stage::kPhase1:
+        if (phase1_.on_quiescence(net)) return true;
+        if (!phase1_.failure().empty()) {
           stage_ = Stage::kDone;
           return false;
         }
@@ -149,7 +107,7 @@ class Dhc1Protocol : public congest::Protocol {
         stage_ = Stage::kPickStage;
         // Leaders draw the hypernode position.
         for (NodeId v = 0; v < n_; ++v) {
-          if (partition_setup_->is_leader(v)) net.wake(v);
+          if (phase1_.partition_setup()->is_leader(v)) net.wake(v);
         }
         return true;
       case Stage::kPickStage:
@@ -185,15 +143,15 @@ class Dhc1Protocol : public congest::Protocol {
     // Stage-entry actions (nodes are woken at each sub-phase start).
     if (stage_ == Stage::kPickStage && stage_seen_[x] != 1) {
       stage_seen_[x] = 1;
-      if (partition_setup_->is_leader(x)) {
-        const auto size = partition_setup_->component_size(x);
+      if (phase1_.partition_setup()->is_leader(x)) {
+        const auto size = phase1_.partition_setup()->component_size(x);
         const auto r = static_cast<std::uint32_t>(1 + ctx.rng().below(size));
         handle_pick(ctx, r);
       }
     } else if (stage_ == Stage::kAnnounceStage && stage_seen_[x] != 2) {
       stage_seen_[x] = 2;
       if (is_agent_[x] != 0 || is_partner_[x] != 0) {
-        ctx.multicast(Message::make(kAnnounce, {colors_[x]}));
+        ctx.multicast(Message::make(kAnnounce, {phase1_.color(x)}));
       }
     } else if (stage_ == Stage::kCensus && stage_seen_[x] != 3) {
       stage_seen_[x] = 3;
@@ -217,19 +175,20 @@ class Dhc1Protocol : public congest::Protocol {
     }
 
     // A hyper head woken by its settle timer acts now.
-    if (stage_ == Stage::kHyper && is_agent_[x] != 0 && hyper_done_ == 0 && head_ == colors_[x] &&
-        ctx.inbox().empty() && hypindex_[x] != 0 && !succ_link_[x].valid()) {
+    if (stage_ == Stage::kHyper && is_agent_[x] != 0 && hyper_done_ == 0 &&
+        head_ == phase1_.color(x) && ctx.inbox().empty() && hypindex_[x] != 0 &&
+        !succ_link_[x].valid()) {
       fire(ctx);
     }
     // The first head bootstraps when woken after the census.
     if (stage_ == Stage::kHyper && is_agent_[x] != 0 && hyper_done_ == 0 && hypindex_[x] == 0 &&
-        ctx.inbox().empty() && colors_[x] == first_group_ && head_ == kNoHyper) {
+        ctx.inbox().empty() && phase1_.color(x) == first_group_ && head_ == kNoHyper) {
       if (k_live_ < 3) {
         hyper_abort(ctx);
         return;
       }
       hypindex_[x] = 1;
-      head_ = colors_[x];
+      head_ = phase1_.color(x);
       fire(ctx);
     }
   }
@@ -240,31 +199,31 @@ class Dhc1Protocol : public congest::Protocol {
     // becomes the agent and recruits its cycle predecessor as partner (one
     // round later — the partner may also be a tree child receiving the pick
     // relay this round).
-    if (dra_->cycle_index(x) == r) {
+    if (phase1_.dra()->cycle_index(x) == r) {
       is_agent_[x] = 1;
-      partner_of_[x] = dra_->path_pred(x);
+      partner_of_[x] = phase1_.dra()->path_pred(x);
       pending_partner_[x] = 1;
       pending_partner_round_[x] = ctx.round();
       ctx.wake_in(1);
     }
-    partition_setup_->send_to_children(ctx, Message::make(kPick, {r}));
+    phase1_.partition_setup()->send_to_children(ctx, Message::make(kPick, {r}));
   }
 
   void maybe_census_up(Context& ctx) {
     const NodeId x = ctx.self();
-    if (up_reports_[x] != global_setup_->children(x).size()) return;
+    if (up_reports_[x] != phase1_.global_setup()->children(x).size()) return;
     const std::uint32_t count = up_count_[x] + (is_agent_[x] != 0 ? 1 : 0);
-    const std::uint32_t mine = (is_agent_[x] != 0) ? colors_[x] : kNoHyper;
+    const std::uint32_t mine = (is_agent_[x] != 0) ? phase1_.color(x) : kNoHyper;
     const std::uint32_t min_group = std::min(up_min_[x], mine);
     up_reports_[x] = static_cast<std::uint32_t>(-1);  // sent
-    if (global_setup_->parent(x) != kNoNode) {
-      global_setup_->send_to_parent(
+    if (phase1_.global_setup()->parent(x) != kNoNode) {
+      phase1_.global_setup()->send_to_parent(
           ctx, Message::make(kCountUp, {count, static_cast<std::int64_t>(min_group)}));
     } else {
       // Root: publish the census.
       k_live_ = count;
       first_group_ = min_group;
-      global_setup_->send_to_children(
+      phase1_.global_setup()->send_to_children(
           ctx, Message::make(kCountDown, {count, static_cast<std::int64_t>(min_group)}));
     }
   }
@@ -282,7 +241,7 @@ class Dhc1Protocol : public congest::Protocol {
       }
       case kAnnounce: {
         const auto hyper = static_cast<std::uint32_t>(msg.data[0]);
-        if ((is_agent_[x] != 0 || is_partner_[x] != 0) && hyper != colors_[x]) {
+        if ((is_agent_[x] != 0 || is_partner_[x] != 0) && hyper != phase1_.color(x)) {
           port_unused_[x].push_back({msg.from, hyper});
           port_all_[x].push_back({msg.from, hyper});
           ctx.charge_memory(4);
@@ -299,7 +258,7 @@ class Dhc1Protocol : public congest::Protocol {
       case kCountDown: {
         k_live_ = static_cast<std::uint32_t>(msg.data[0]);
         first_group_ = static_cast<std::uint32_t>(msg.data[1]);
-        global_setup_->send_to_children(ctx, msg);
+        phase1_.global_setup()->send_to_children(ctx, msg);
         break;
       }
       case kFire: {
@@ -366,12 +325,12 @@ class Dhc1Protocol : public congest::Protocol {
         break;
       }
       case kHRotation: {
-        global_setup_->forward_on_tree(ctx, msg, msg.from);
+        phase1_.global_setup()->forward_on_tree(ctx, msg, msg.from);
         if (is_agent_[x] != 0) apply_hyper_rotation(ctx, msg);
         break;
       }
       case kHSuccess: {
-        global_setup_->forward_on_tree(ctx, msg, msg.from);
+        phase1_.global_setup()->forward_on_tree(ctx, msg, msg.from);
         hyper_done_ = 1;
         if (is_agent_[x] != 0 && agent_assigned_[x] == 0) {
           // Assignments leave next round: this round's tree forwards may
@@ -383,12 +342,12 @@ class Dhc1Protocol : public congest::Protocol {
         break;
       }
       case kHAbort: {
-        global_setup_->forward_on_tree(ctx, msg, msg.from);
+        phase1_.global_setup()->forward_on_tree(ctx, msg, msg.from);
         hyper_done_ = 2;
         break;
       }
       case kHRestart: {
-        global_setup_->forward_on_tree(ctx, msg, msg.from);
+        phase1_.global_setup()->forward_on_tree(ctx, msg, msg.from);
         apply_hyper_restart(ctx);
         break;
       }
@@ -449,7 +408,7 @@ class Dhc1Protocol : public congest::Protocol {
     list.pop_back();
     ctx.charge_memory(-2);
     ctx.send(edge.node,
-             Message::make(kHProgress, {pos, static_cast<std::int64_t>(steps), colors_[x]}));
+             Message::make(kHProgress, {pos, static_cast<std::int64_t>(steps), phase1_.color(x)}));
     const Message fired =
         Message::make(kFired, {edge.hyper, edge.node});
     if (agent == x) {
@@ -478,7 +437,7 @@ class Dhc1Protocol : public congest::Protocol {
       hypindex_[x] = pos + 1;
       pred_link_[x] = {from_hyper, y, x_node};
       succ_link_[x] = {};
-      head_ = colors_[x];
+      head_ = phase1_.color(x);
       hyper_steps_ = steps;
       ++extensions_;
       fire(ctx);
@@ -528,12 +487,12 @@ class Dhc1Protocol : public congest::Protocol {
     if (i <= j || i > h) return;
     hypindex_[x] = h + j + 1 - i;
     std::swap(pred_link_[x], succ_link_[x]);
-    if (head_hyper == colors_[x]) pred_link_[x] = pend_link_[x];
+    if (head_hyper == phase1_.color(x)) pred_link_[x] = pend_link_[x];
     if (hypindex_[x] == h) {
       succ_link_[x] = {};
-      head_ = colors_[x];
+      head_ = phase1_.color(x);
       hyper_steps_ = seq;
-      ctx.wake_in(2ULL * global_setup_->tree_depth(x) + 2);
+      ctx.wake_in(2ULL * phase1_.global_setup()->tree_depth(x) + 2);
     }
   }
 
@@ -571,8 +530,8 @@ class Dhc1Protocol : public congest::Protocol {
       hyper_attempt_ += 1;
     }
     // The first hypernode's agent re-bootstraps once the broadcast settles.
-    if (is_agent_[x] != 0 && colors_[x] == first_group_) {
-      ctx.wake_in(2ULL * global_setup_->tree_depth(x) + 2);
+    if (is_agent_[x] != 0 && phase1_.color(x) == first_group_) {
+      ctx.wake_in(2ULL * phase1_.global_setup()->tree_depth(x) + 2);
     }
   }
 
@@ -590,12 +549,12 @@ class Dhc1Protocol : public congest::Protocol {
   }
 
   void broadcast_global(Context& ctx, const Message& msg) {
-    global_setup_->forward_on_tree(ctx, msg, kNoNode);
+    phase1_.global_setup()->forward_on_tree(ctx, msg, kNoNode);
   }
 
   std::uint64_t hyper_budget() const {
     const double k = std::max<double>(k_live_, 3.0);
-    return static_cast<std::uint64_t>(cfg_.hyper_step_multiplier * k * std::log(k)) + 16;
+    return static_cast<std::uint64_t>(hyper_step_multiplier_ * k * std::log(k)) + 16;
   }
 
   /// Builds the final per-node incidence: ports splice their G′ edge with
@@ -606,37 +565,22 @@ class Dhc1Protocol : public congest::Protocol {
     inc.neighbors_of.resize(n_);
     for (NodeId v = 0; v < n_; ++v) {
       if (is_agent_[v] != 0) {
-        inc.neighbors_of[v] = {dra_->path_succ(v), assigned_remote_[v]};
+        inc.neighbors_of[v] = {phase1_.dra()->path_succ(v), assigned_remote_[v]};
       } else if (is_partner_[v] != 0) {
-        inc.neighbors_of[v] = {dra_->path_pred(v), assigned_remote_[v]};
+        inc.neighbors_of[v] = {phase1_.dra()->path_pred(v), assigned_remote_[v]};
       } else {
-        inc.neighbors_of[v] = {dra_->path_pred(v), dra_->path_succ(v)};
+        inc.neighbors_of[v] = {phase1_.dra()->path_pred(v), phase1_.dra()->path_succ(v)};
       }
     }
     return inc;
   }
 
-  enum class Stage {
-    kInit,
-    kGlobalSetup,
-    kPartitionSetup,
-    kDra,
-    kPickStage,
-    kAnnounceStage,
-    kCensus,
-    kHyper,
-    kDone
-  };
+  enum class Stage { kPhase1, kPickStage, kAnnounceStage, kCensus, kHyper, kDone };
 
   NodeId n_;
-  std::uint32_t num_colors_;
-  Dhc1Config cfg_;
-  std::vector<std::uint32_t> colors_;
-  Stage stage_ = Stage::kInit;
-  std::string failure_;
-  std::optional<congest::SetupComponent> global_setup_;
-  std::optional<congest::SetupComponent> partition_setup_;
-  std::optional<DraComponent> dra_;
+  double hyper_step_multiplier_;
+  Stage stage_ = Stage::kPhase1;
+  Phase1 phase1_;
 
   // Phase-2 per-node state.
   std::vector<std::uint8_t> stage_seen_ = std::vector<std::uint8_t>(n_, 0);
@@ -705,14 +649,13 @@ Result run_dhc1(const graph::Graph& g, std::uint64_t seed, const Dhc1Config& cfg
   result.stats["hyper_extensions"] = static_cast<double>(protocol.extensions_);
   result.stats["wrong_port_rejects"] = static_cast<double>(protocol.wrong_port_rejects_);
   result.stats["hyper_restarts"] = static_cast<double>(protocol.hyper_restarts_);
-  result.stats["dra_restarts"] =
-      protocol.dra_ ? static_cast<double>(protocol.dra_->restarts()) : 0.0;
-  if (protocol.global_setup_) {
-    result.stats["global_tree_depth"] =
-        static_cast<double>(protocol.global_setup_->tree_depth(0));
+  const auto& dra = protocol.phase1_.dra();
+  result.stats["dra_restarts"] = dra ? static_cast<double>(dra->restarts()) : 0.0;
+  if (const auto& global = protocol.phase1_.global_setup()) {
+    result.stats["global_tree_depth"] = static_cast<double>(global->tree_depth(0));
   }
 
-  std::string failure = protocol.failure_;
+  std::string failure = protocol.phase1_.failure();
   if (failure.empty() && protocol.hyper_done_ != 1) {
     failure = "Phase 2 failed: hypernode rotation aborted";
   }

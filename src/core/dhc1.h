@@ -2,7 +2,8 @@
 //
 // The p = c·ln n / √n regime.  Phase 1 partitions the graph into K ≈ √n
 // random color classes of expected size √n and runs the Distributed
-// Rotation Algorithm in each (exactly DHC2's Phase 1).  Phase 2 contracts
+// Rotation Algorithm in each: DHC2's Phase 1, run by the same `Phase1`
+// component (core/dhc2.h).  Phase 2 contracts
 // one cycle edge (vᵢ, uᵢ) per sub-cycle into a *hypernode* — uᵢ is the
 // in-port and vᵢ = pred(uᵢ) the out-port — and runs a rotation algorithm
 // over the K-node hypernode graph G′; splicing the hypernode cycle through
@@ -43,7 +44,10 @@ struct Dhc1Config : congest::EngineOptions {
   std::uint32_t num_colors_override = 0;
 
   /// Phase-2 step budget multiplier over K·ln K (wrong-port rejections
-  /// roughly double the steps the plain analysis predicts).
+  /// roughly double the steps the plain analysis predicts).  Every step
+  /// uses up one port edge, so an attempt ends by success or starvation
+  /// within 2K(K−1) steps; at the default the budget can bind only for
+  /// K ≥ 69, and lowering it is the one way to reach the budget abort.
   double hyper_step_multiplier = 32.0;
 
   DraParams dra;

@@ -416,6 +416,62 @@ graph::CycleIncidence MergeEngine::incidence() const {
 }
 
 // ---------------------------------------------------------------------------
+// Phase 1 (shared with DHC1)
+// ---------------------------------------------------------------------------
+
+void Phase1::step(Context& ctx) {
+  if (stage_ == Stage::kGlobalSetup) {
+    global_setup_->step(ctx);
+  } else if (stage_ == Stage::kPartitionSetup) {
+    partition_setup_->step(ctx);
+  } else if (stage_ == Stage::kDra) {
+    dra_->step(ctx);
+  }
+}
+
+bool Phase1::on_quiescence(Network& net) {
+  switch (stage_) {
+    case Stage::kInit:
+      global_setup_.emplace(n_, /*base_tag=*/1);
+      net.mark_phase("global_setup");
+      stage_ = Stage::kGlobalSetup;
+      global_setup_->advance(net);
+      return true;
+    case Stage::kGlobalSetup:
+      global_setup_->advance(net);
+      if (global_setup_->done()) {
+        // The global BFS tree prices the phase barriers (termination
+        // detection = convergecast + broadcast over it).
+        net.set_barrier_cost(2ULL * global_setup_->tree_depth(0) + 2);
+        partition_setup_.emplace(n_, /*base_tag=*/8, colors_);
+        net.mark_phase("partition_setup");
+        stage_ = Stage::kPartitionSetup;
+        partition_setup_->advance(net);
+      }
+      return true;
+    case Stage::kPartitionSetup:
+      partition_setup_->advance(net);
+      if (partition_setup_->done()) {
+        dra_.emplace(n_, /*base_tag=*/16, &*partition_setup_, dra_params_);
+        net.mark_phase("dra");
+        stage_ = Stage::kDra;
+        dra_->start(net);
+      }
+      return true;
+    case Stage::kDra:
+      if (!dra_->all_succeeded()) {
+        failure_ = "Phase 1 failed: " + std::to_string(dra_->aborted_groups()) +
+                   " partition(s) aborted";
+      }
+      stage_ = Stage::kDone;
+      return false;
+    case Stage::kDone:
+      return false;
+  }
+  return false;
+}
+
+// ---------------------------------------------------------------------------
 // DHC2 protocol
 // ---------------------------------------------------------------------------
 
@@ -424,76 +480,30 @@ namespace {
 class Dhc2Protocol : public congest::Protocol {
  public:
   Dhc2Protocol(NodeId n, std::uint32_t num_colors, const Dhc2Config& cfg)
-      : n_(n), num_colors_(num_colors), cfg_(cfg), colors_(n, 0) {}
+      : n_(n), num_colors_(num_colors), merge_strategy_(cfg.merge_strategy),
+        phase1_(n, num_colors, cfg.dra) {}
 
-  void begin(Context& ctx) override {
-    // Paper Alg. 2 line 6: every node draws a uniform random color.
-    colors_[ctx.self()] = static_cast<std::uint32_t>(ctx.rng().below(num_colors_));
-  }
+  void begin(Context& ctx) override { phase1_.begin(ctx); }
 
   void step(Context& ctx) override {
-    switch (stage_) {
-      case Stage::kGlobalSetup:
-        global_setup_->step(ctx);
-        break;
-      case Stage::kPartitionSetup:
-        partition_setup_->step(ctx);
-        break;
-      case Stage::kDra:
-        dra_->step(ctx);
-        break;
-      case Stage::kMergeDiscovery:
-      case Stage::kMergeBuild:
-        merge_->step(ctx);
-        break;
-      case Stage::kInit:
-      case Stage::kDone:
-        break;
+    if (stage_ == Stage::kPhase1) {
+      phase1_.step(ctx);
+    } else if (stage_ != Stage::kDone) {
+      merge_->step(ctx);
     }
   }
 
   bool on_quiescence(Network& net) override {
     switch (stage_) {
-      case Stage::kInit:
-        global_setup_.emplace(n_, /*base_tag=*/1);
-        net.mark_phase("global_setup");
-        stage_ = Stage::kGlobalSetup;
-        global_setup_->advance(net);
-        return true;
-      case Stage::kGlobalSetup:
-        global_setup_->advance(net);
-        if (global_setup_->done()) {
-          // The global BFS tree prices the phase barriers (termination
-          // detection = convergecast + broadcast over it).
-          net.set_barrier_cost(2ULL * global_setup_->tree_depth(0) + 2);
-          partition_setup_.emplace(n_, /*base_tag=*/8, colors_);
-          net.mark_phase("partition_setup");
-          stage_ = Stage::kPartitionSetup;
-          partition_setup_->advance(net);
-        }
-        return true;
-      case Stage::kPartitionSetup:
-        partition_setup_->advance(net);
-        if (partition_setup_->done()) {
-          dra_.emplace(n_, /*base_tag=*/16, &*partition_setup_, cfg_.dra);
-          net.mark_phase("dra");
-          stage_ = Stage::kDra;
-          dra_->start(net);
-        }
-        return true;
-      case Stage::kDra:
-        if (!dra_->all_succeeded()) {
-          failure_ = "Phase 1 failed: " + std::to_string(dra_->aborted_groups()) +
-                     " partition(s) aborted";
+      case Stage::kPhase1:
+        if (phase1_.on_quiescence(net)) return true;
+        // δ = 1: the single partition's cycle is the answer.
+        if (!phase1_.failure().empty() || num_colors_ == 1) {
           stage_ = Stage::kDone;
           return false;
         }
-        if (num_colors_ == 1) {
-          stage_ = Stage::kDone;
-          return false;  // δ = 1: the single partition's cycle is the answer
-        }
-        merge_.emplace(n_, /*base_tag=*/32, &*partition_setup_, &*dra_, num_colors_,
-                       cfg_.merge_strategy);
+        merge_.emplace(n_, /*base_tag=*/32, &*phase1_.partition_setup(), &*phase1_.dra(),
+                       num_colors_, merge_strategy_);
         net.mark_phase("merge");
         stage_ = Stage::kMergeDiscovery;
         merge_->start_level(net);
@@ -516,25 +526,13 @@ class Dhc2Protocol : public congest::Protocol {
     return false;
   }
 
-  enum class Stage {
-    kInit,
-    kGlobalSetup,
-    kPartitionSetup,
-    kDra,
-    kMergeDiscovery,
-    kMergeBuild,
-    kDone
-  };
+  enum class Stage { kPhase1, kMergeDiscovery, kMergeBuild, kDone };
 
   NodeId n_;
   std::uint32_t num_colors_;
-  Dhc2Config cfg_;
-  std::vector<std::uint32_t> colors_;
-  Stage stage_ = Stage::kInit;
-  std::string failure_;
-  std::optional<congest::SetupComponent> global_setup_;
-  std::optional<congest::SetupComponent> partition_setup_;
-  std::optional<DraComponent> dra_;
+  MergeStrategy merge_strategy_;
+  Stage stage_ = Stage::kPhase1;
+  Phase1 phase1_;
   std::optional<MergeEngine> merge_;
 };
 
@@ -562,17 +560,16 @@ Result run_dhc2(const graph::Graph& g, std::uint64_t seed, const Dhc2Config& cfg
   result.metrics = net.run(protocol);
 
   result.stats["num_colors"] = static_cast<double>(num_colors);
-  result.stats["dra_steps"] =
-      protocol.dra_ ? static_cast<double>(protocol.dra_->max_group_steps()) : 0.0;
-  result.stats["aborted_partitions"] =
-      protocol.dra_ ? static_cast<double>(protocol.dra_->aborted_groups()) : 0.0;
-  if (protocol.dra_) {
-    result.stats["starved_aborts"] = static_cast<double>(protocol.dra_->starved_aborts());
-    result.stats["budget_aborts"] = static_cast<double>(protocol.dra_->budget_aborts());
-    result.stats["tiny_aborts"] = static_cast<double>(protocol.dra_->tiny_aborts());
-    result.stats["dra_rotations"] = static_cast<double>(protocol.dra_->total_rotations());
-    result.stats["dra_extensions"] = static_cast<double>(protocol.dra_->total_extensions());
-    result.stats["dra_restarts"] = static_cast<double>(protocol.dra_->restarts());
+  const auto& dra = protocol.phase1_.dra();
+  result.stats["dra_steps"] = dra ? static_cast<double>(dra->max_group_steps()) : 0.0;
+  result.stats["aborted_partitions"] = dra ? static_cast<double>(dra->aborted_groups()) : 0.0;
+  if (dra) {
+    result.stats["starved_aborts"] = static_cast<double>(dra->starved_aborts());
+    result.stats["budget_aborts"] = static_cast<double>(dra->budget_aborts());
+    result.stats["tiny_aborts"] = static_cast<double>(dra->tiny_aborts());
+    result.stats["dra_rotations"] = static_cast<double>(dra->total_rotations());
+    result.stats["dra_extensions"] = static_cast<double>(dra->total_extensions());
+    result.stats["dra_restarts"] = static_cast<double>(dra->restarts());
   }
   if (protocol.merge_) {
     result.stats["merge_levels"] = static_cast<double>(protocol.merge_->total_levels());
@@ -588,13 +585,12 @@ Result run_dhc2(const graph::Graph& g, std::uint64_t seed, const Dhc2Config& cfg
       cands.push_back(static_cast<double>(c));
     }
   }
-  if (protocol.global_setup_) {
-    result.stats["global_tree_depth"] =
-        static_cast<double>(protocol.global_setup_->tree_depth(0));
+  if (const auto& global = protocol.phase1_.global_setup()) {
+    result.stats["global_tree_depth"] = static_cast<double>(global->tree_depth(0));
   }
 
-  conclude(result, g, protocol.failure_, [&] {
-    return protocol.merge_ ? protocol.merge_->incidence() : protocol.dra_->incidence();
+  conclude(result, g, protocol.phase1_.failure(), [&] {
+    return protocol.merge_ ? protocol.merge_->incidence() : dra->incidence();
   });
   return result;
 }

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "congest/network.h"
@@ -56,6 +57,50 @@ struct Dhc2Config : congest::EngineOptions {
 
   MergeStrategy merge_strategy = MergeStrategy::kMinForward;
   DraParams dra;
+};
+
+/// Phase 1 of DHC1 and DHC2 (paper Algs. 2 and 3): every node draws a
+/// uniform color in [0, K); a global BFS tree is built (tags 1..), then one
+/// tree per color class (tags 8..), and DRA runs in every class in parallel
+/// (tags 16..).  The global tree prices the later phase barriers.  The
+/// owning protocol forwards begin, step and on_quiescence here until
+/// on_quiescence returns false.
+class Phase1 {
+ public:
+  Phase1(NodeId n, std::uint32_t num_colors, const DraParams& dra)
+      : n_(n), num_colors_(num_colors), dra_params_(dra), colors_(n, 0) {}
+
+  /// Paper Alg. 2 line 6: the node draws its color.
+  void begin(congest::Context& ctx) {
+    colors_[ctx.self()] = static_cast<std::uint32_t>(ctx.rng().below(num_colors_));
+  }
+  void step(congest::Context& ctx);
+
+  /// Advances to the next stage at a barrier.  True while Phase 1 runs;
+  /// false once DRA has finished, whether or not every partition succeeded.
+  bool on_quiescence(congest::Network& net);
+
+  /// "Phase 1 failed: …" when DRA aborted a partition, else empty.
+  const std::string& failure() const { return failure_; }
+  std::uint32_t color(NodeId v) const { return colors_[v]; }
+  const std::optional<congest::SetupComponent>& global_setup() const { return global_setup_; }
+  const std::optional<congest::SetupComponent>& partition_setup() const {
+    return partition_setup_;
+  }
+  const std::optional<DraComponent>& dra() const { return dra_; }
+
+ private:
+  enum class Stage : std::uint8_t { kInit, kGlobalSetup, kPartitionSetup, kDra, kDone };
+
+  NodeId n_;
+  std::uint32_t num_colors_;
+  DraParams dra_params_;
+  std::vector<std::uint32_t> colors_;
+  Stage stage_ = Stage::kInit;
+  std::string failure_;
+  std::optional<congest::SetupComponent> global_setup_;
+  std::optional<congest::SetupComponent> partition_setup_;
+  std::optional<DraComponent> dra_;
 };
 
 /// The Phase-2 merge engine; embedded in the DHC2 protocol and driven

@@ -4,7 +4,9 @@
 //  * rotation_hamiltonian_cycle — the Angluin–Valiant rotation algorithm
 //    ([1], [20]; paper §II intuition and Theorem 2's step model).  It is the
 //    local solver the Upcast root runs (§III, step 4), the step-count model
-//    for EXP-T2 at large n, and the sequential baseline in EXP-C1.
+//    for EXP-T2 at large n, and the sequential baseline in EXP-C1.  It and
+//    cre (core/sequential_linear.h) are one rotation-extension walk with two
+//    ways for the head to draw an unused edge.
 //  * exact_hamiltonian_cycle — exponential backtracking, used as ground
 //    truth in tests on small graphs (Petersen, K_{a,b}, …).
 #pragma once
@@ -30,9 +32,10 @@ struct RotationConfig {
 };
 
 struct RotationStats {
-  std::uint64_t steps = 0;       // total head actions (extensions + rotations)
+  std::uint64_t steps = 0;       // head actions (extensions + rotations + closure)
   std::uint64_t extensions = 0;  // path grew by a new node
   std::uint64_t rotations = 0;   // path suffix reversed
+  std::uint64_t resamples = 0;   // cre only: row samples that hit a used edge
 };
 
 struct RotationResult {

@@ -1,65 +1,38 @@
-// CRE — the linear-space cycle-rotation-extension sequential solver, used as
-// the paired-trial verification oracle at million-node scale (algorithm name
+// CRE — the linear-space cycle-rotation-extension solver, used as the
+// paired-trial verification oracle at million-node scale (algorithm name
 // `cre`).
 //
-// The classic rotation solver (core/sequential.h) re-materializes per-node
-// adjacency copies (2m extra NodeIds) plus an unordered_set of used edges
-// (~48 B/edge) — at n = 2^20 the oracle costs more memory than the trial it
-// verifies.  CRE keeps the rotation-extension core (Angluin–Valiant; the
-// modern treatment is the CRE algorithm of arXiv:1903.03007 and the O(n)-whp
-// algorithm of arXiv:2012.02551) but works directly on the shared CSR graph:
+// One walk, two draws.  cre and the rotation solver (core/sequential.h) run
+// the same rotation-extension walk (Angluin–Valiant; the modern treatment is
+// the CRE algorithm of arXiv:1903.03007 and the O(n)-whp algorithm of
+// arXiv:2012.02551) over the shared CSR graph: the used-edge set is a bitset
+// over directed CSR edge ids (2m bits = m/4 bytes, both directions marked),
+// and the path is the O(log n)-per-rotation PathTreap.  Only the head's draw
+// differs:
 //
-//  * the used-edge set is a bitset over directed CSR edge ids (2m bits =
-//    m/4 bytes; the "streaming used-edge filter"),
-//  * the head's draw rejection-samples its CSR row for an unused edge (a
-//    bounded number of tries), falling back to an exact two-pass
-//    uniform-among-unused scan when the row is mostly consumed — the draw
-//    distribution is uniform over unused incident edges either way,
-//  * the path is the same O(log n)-per-rotation PathTreap.
+//  * rotation keeps a per-node list of unused edges (4 B per directed edge)
+//    and draws from it by swap-and-pop;
+//  * cre keeps no list.  It rejection-samples the head's CSR row for an
+//    unused edge (16 tries), then falls back to an exact two-pass
+//    uniform-among-unused scan when the row is mostly consumed.  The draw is
+//    uniform over unused incident edges either way.
 //
-// Working set: 2m bits + ~29 B/node, on top of the (shared, read-only) CSR.
-// Expected time is O(n log n) draws at the G(n, p) densities the paper
-// studies — linear in the input size m·p⁻¹-wise, which is what makes a
-// verified n = 2^20 trial fit beside the simulator in one machine.
+// cre's working set is 2m bits + ~29 B/node on top of the (shared,
+// read-only) CSR.  Expected time is O(n log n) draws at the G(n, p)
+// densities the paper studies, which is what makes a verified n = 2^20 trial
+// fit beside the simulator in one machine.
 #pragma once
 
-#include <cstdint>
-#include <string>
-
-#include "graph/graph.h"
-#include "graph/hamiltonian.h"
-#include "support/rng.h"
+#include "core/sequential.h"
 
 namespace dhc::core {
 
-struct CreConfig {
-  /// Step budget multiplier: the run aborts after multiplier·n·ln n steps
-  /// (the same Theorem-2-shaped budget as the rotation solver).
-  double step_multiplier = 16.0;
-
-  /// Optional absolute step budget; overrides the multiplier when nonzero.
-  std::uint64_t max_steps_override = 0;
-};
-
-struct CreStats {
-  std::uint64_t steps = 0;       // head actions (extensions + rotations + closure)
-  std::uint64_t extensions = 0;  // path grew by a new node
-  std::uint64_t rotations = 0;   // path suffix reversed
-  std::uint64_t resamples = 0;   // rejection-sampling retries that hit a used edge
-};
-
-struct CreResult {
-  bool success = false;
-  std::string failure_reason;
-  graph::CycleOrder cycle;  // valid iff success
-  CreStats stats;
-};
-
-/// Runs CRE on `g`.  Succeeds whp when p ≳ c·ln n / n for sufficiently large
+/// Runs cre on `g`.  Succeeds whp when p ≳ c·ln n / n for sufficiently large
 /// c; returns failure (never throws) when the head runs out of unused edges
-/// or the step budget is exhausted — the same E1/E2 failure taxonomy as the
-/// rotation solver, so runner classification is shared.
-CreResult cre_hamiltonian_cycle(const graph::Graph& g, support::Rng& rng,
-                                const CreConfig& cfg = {});
+/// or the step budget is exhausted — the same walk, budget and E1/E2 failure
+/// taxonomy as rotation_hamiltonian_cycle.  `stats.resamples` counts row
+/// samples that hit a used edge.
+RotationResult cre_hamiltonian_cycle(const graph::Graph& g, support::Rng& rng,
+                                     const RotationConfig& cfg = {});
 
 }  // namespace dhc::core

@@ -123,23 +123,17 @@ void apply_verdict(TrialResult& out, const graph::VerifyResult& v) {
 // (family, n, delta, c, t).
 void run_oracle(TrialResult& out, const graph::Graph& g, const TrialConfig& t, bool verify) {
   support::Rng rng(t.algo_seed);
-  const auto fill = [&](const auto& r) {
-    out.success = r.success;
-    out.failure_reason = r.failure_reason;
-    out.rounds = static_cast<double>(r.stats.steps);
-    out.stats["steps"] = static_cast<double>(r.stats.steps);
-    out.stats["extensions"] = static_cast<double>(r.stats.extensions);
-    out.stats["rotations"] = static_cast<double>(r.stats.rotations);
-    if constexpr (requires { r.stats.resamples; }) {
-      out.stats["resamples"] = static_cast<double>(r.stats.resamples);
-    }
-    if (out.success && verify) apply_verdict(out, graph::verify_cycle_order(g, r.cycle));
-  };
-  if (t.algo == Algorithm::kCre) {
-    fill(core::cre_hamiltonian_cycle(g, rng));
-  } else {
-    fill(core::rotation_hamiltonian_cycle(g, rng));
-  }
+  const bool cre = t.algo == Algorithm::kCre;
+  const core::RotationResult r =
+      cre ? core::cre_hamiltonian_cycle(g, rng) : core::rotation_hamiltonian_cycle(g, rng);
+  out.success = r.success;
+  out.failure_reason = r.failure_reason;
+  out.rounds = static_cast<double>(r.stats.steps);
+  out.stats["steps"] = static_cast<double>(r.stats.steps);
+  out.stats["extensions"] = static_cast<double>(r.stats.extensions);
+  out.stats["rotations"] = static_cast<double>(r.stats.rotations);
+  if (cre) out.stats["resamples"] = static_cast<double>(r.stats.resamples);
+  if (out.success && verify) apply_verdict(out, graph::verify_cycle_order(g, r.cycle));
 }
 
 // Runs t's CONGEST solver with `engine` as its engine options — the single

@@ -94,6 +94,46 @@ TEST(Dhc1, Phase2BudgetInjection) {
   EXPECT_NE(r.failure_reason.find("Phase 2"), std::string::npos);
 }
 
+TEST(Dhc1, Phase2StarvationFailsHonestly) {
+  // K = 3 hypernodes at p = 0.3: every 80-node partition is dense enough for
+  // DRA, but a port sees only ≈ 2·(K−1)·p ≈ 1.2 usable port edges, so every
+  // hypernode rotation attempt starves.  Phase 2 must restart through all of
+  // its attempts and then report its own failure, not hang.
+  support::Rng rng(1);
+  const Graph g = graph::gnp(240, 0.3, rng);
+  Dhc1Config cfg;
+  cfg.num_colors_override = 3;
+  const auto r = run_dhc1(g, 23, cfg);
+  EXPECT_FALSE(r.success);
+  EXPECT_FALSE(r.metrics.hit_round_limit);
+  EXPECT_NE(r.failure_reason.find("Phase 2"), std::string::npos);
+  EXPECT_EQ(r.stat("hyper_restarts"), 7.0);  // every attempt but the first
+}
+
+TEST(Dhc1, SharesDhc2PhaseOne) {
+  // DHC1's Phase 1 is DHC2's: same graph, seed and K give the same coloring,
+  // trees and DRA run, so every Phase-1 counter agrees.
+  for (const graph::NodeId n : {144u, 400u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Graph g = dhc1_gnp(n, 2.5, seed);
+      Dhc1Config c1;
+      c1.num_colors_override = 8;
+      Dhc2Config c2;
+      c2.num_colors_override = 8;
+      const auto r1 = run_dhc1(g, seed, c1);
+      const auto r2 = run_dhc2(g, seed, c2);
+      EXPECT_GT(r1.metrics.phase_rounds("dra"), 0u);
+      for (const char* phase : {"global_setup", "partition_setup", "dra"}) {
+        EXPECT_EQ(r1.metrics.phase_rounds(phase), r2.metrics.phase_rounds(phase))
+            << "n=" << n << " seed=" << seed << " phase=" << phase;
+      }
+      EXPECT_EQ(r1.stat("dra_restarts"), r2.stat("dra_restarts")) << "n=" << n << " seed=" << seed;
+      EXPECT_EQ(r1.stat("global_tree_depth"), r2.stat("global_tree_depth"))
+          << "n=" << n << " seed=" << seed;
+    }
+  }
+}
+
 TEST(Dhc1, SparseGraphFailsGracefully) {
   support::Rng rng(7);
   const Graph g = graph::gnp(400, 0.004, rng);

@@ -54,7 +54,7 @@ TEST(Cre, DeterministicGivenRngState) {
 TEST(Cre, StepBudgetOverrideIsRespected) {
   support::Rng rng(4);
   const Graph g = graph::complete_graph(64);
-  CreConfig cfg;
+  RotationConfig cfg;
   cfg.max_steps_override = 5;  // far too few to build a 64-cycle
   const auto r = cre_hamiltonian_cycle(g, rng, cfg);
   EXPECT_FALSE(r.success);
