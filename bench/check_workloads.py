@@ -25,7 +25,7 @@ DHC_RUN = os.path.join(ROOT, "build", "dhc_run")
 # --threads=2 would otherwise run two shards and carry about 125 MB of extra
 # per-shard buffers.
 RSS_BASE_KB = {"perf-smoke": 16384, "kmachine-sweep": None, "fault-sweep": None,
-               "mem-probe": 906016, "oracle-pin": None}
+               "mem-probe": 735764, "oracle-pin": None}
 
 
 def main():

@@ -10,14 +10,17 @@ namespace dhc::graph {
 
 Graph gnp(NodeId n, double p, support::Rng& rng) {
   DHC_REQUIRE(p >= 0.0 && p <= 1.0, "gnp probability " << p << " outside [0,1]");
-  std::vector<Edge> edges;
-  if (p <= 0.0 || n < 2) return Graph(n, edges);
+  if (p <= 0.0 || n < 2) return Graph(n, {});
   if (p >= 1.0) return complete_graph(n);
 
   // Batagelj–Brandes: walk the lower-triangular pair sequence with
-  // geometric skips; expected work O(n + m).
+  // geometric skips; expected work O(n + m).  The walk meets the pairs
+  // (v, w), w < v, in increasing v and then increasing w, which is
+  // lower-row order, so it writes the rows out as it goes.
   const double log1mp = std::log1p(-p);
-  edges.reserve(static_cast<std::size_t>(p * static_cast<double>(n) * (n - 1) / 2 * 1.1) + 16);
+  std::vector<std::uint64_t> row_offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<NodeId> lower;
+  lower.reserve(static_cast<std::size_t>(p * static_cast<double>(n) * (n - 1) / 2 * 1.1) + 16);
   std::uint64_t v = 1;
   std::int64_t w = -1;
   const auto nn = static_cast<std::uint64_t>(n);
@@ -25,31 +28,30 @@ Graph gnp(NodeId n, double p, support::Rng& rng) {
     w += 1 + static_cast<std::int64_t>(rng.geometric_skip(log1mp));
     while (w >= static_cast<std::int64_t>(v) && v < nn) {
       w -= static_cast<std::int64_t>(v);
-      ++v;
+      row_offsets[++v] = lower.size();  // row v - 1 is complete
     }
-    if (v < nn) {
-      edges.emplace_back(static_cast<NodeId>(v), static_cast<NodeId>(w));
-    }
+    if (v < nn) lower.push_back(static_cast<NodeId>(w));
   }
-  return Graph(n, edges);
+  return Graph::from_lower_rows(n, row_offsets, lower);
 }
 
 Graph gnm(NodeId n, std::uint64_t m, support::Rng& rng) {
   const std::uint64_t max_edges = static_cast<std::uint64_t>(n) * (n - 1) / 2;
   DHC_REQUIRE(m <= max_edges, "gnm: " << m << " edges exceed maximum " << max_edges);
-  // Sample m distinct pair-indices, then decode index -> (u, v) in the
-  // lower-triangular enumeration: index = v(v-1)/2 + u with u < v.
-  std::vector<Edge> edges;
-  edges.reserve(m);
-  for (const std::uint64_t idx : rng.sample_distinct(max_edges, m)) {
-    // v = floor((1 + sqrt(1 + 8 idx)) / 2); adjust for floating error.
-    auto v = static_cast<std::uint64_t>((1.0 + std::sqrt(1.0 + 8.0 * static_cast<double>(idx))) / 2.0);
-    while (v * (v - 1) / 2 > idx) --v;
-    while ((v + 1) * v / 2 <= idx) ++v;
-    const std::uint64_t u = idx - v * (v - 1) / 2;
-    edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
+  // Sample m distinct pair indices and sort them.  Index v(v-1)/2 + w names
+  // the pair (v, w), w < v, so increasing indices are lower-row order and
+  // each decodes straight into its row.
+  std::vector<std::uint64_t> pair_ids = rng.sample_distinct(max_edges, m);
+  std::sort(pair_ids.begin(), pair_ids.end());
+  std::vector<std::uint64_t> row_offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<NodeId> lower(pair_ids.size());
+  std::uint64_t v = 0;  // row v holds the indices [v(v-1)/2, v(v+1)/2)
+  for (std::size_t i = 0; i < pair_ids.size(); ++i) {
+    while (v * (v + 1) / 2 <= pair_ids[i]) row_offsets[++v] = i;
+    lower[i] = static_cast<NodeId>(pair_ids[i] - v * (v - 1) / 2);
   }
-  return Graph(n, edges);
+  while (v < n) row_offsets[++v] = pair_ids.size();
+  return Graph::from_lower_rows(n, row_offsets, lower);
 }
 
 Graph random_regular(NodeId n, std::uint32_t d, support::Rng& rng) {
@@ -121,8 +123,8 @@ Graph cycle_graph(NodeId n) {
 Graph complete_graph(NodeId n) {
   std::vector<Edge> edges;
   edges.reserve(static_cast<std::size_t>(n) * (n - 1) / 2);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
+  for (NodeId v = 1; v < n; ++v) {
+    for (NodeId w = 0; w < v; ++w) edges.emplace_back(v, w);  // lower-row order: no sort
   }
   return Graph(n, edges);
 }

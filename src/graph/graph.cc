@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 
 #include "support/require.h"
 
@@ -10,16 +11,14 @@ namespace dhc::graph {
 
 namespace {
 
-// Edges are canonicalized into packed (u << 32) | v keys, whose numeric
-// order is exactly the lexicographic pair order.  Generators that emit
-// edges in scan order (G(n, p) geometric skipping, collected edge lists in
-// node order) pass the is_sorted check and skip sorting entirely; anything
-// else gets an LSD radix sort — for the multi-million-edge lists the dense
-// experiments build, that replaces the comparison sort that used to
-// dominate Graph construction.
+// An edge is keyed (max << 32) | min, whose numeric order is lower-row order:
+// by larger end, then by smaller end.  Lists that already come in that order
+// (star, path and complete graphs) pass the is_sorted check; anything else
+// gets an LSD radix sort, linear in the list length, which for the
+// multi-million-edge Chung–Lu and regular lists beats a comparison sort.
 void sort_keys(std::vector<std::uint64_t>& keys, NodeId n) {
   if (keys.empty() || std::is_sorted(keys.begin(), keys.end())) return;
-  // u occupies bits [32, 32 + bit_width(n-1)); v the low bits.
+  // The larger end occupies bits [32, 32 + bit_width(n-1)); the smaller the low bits.
   const std::uint32_t key_bits =
       32 + std::max<std::uint32_t>(1, std::bit_width(std::uint64_t{n - 1}));
   constexpr std::uint32_t kDigitBits = 16;
@@ -42,42 +41,68 @@ void sort_keys(std::vector<std::uint64_t>& keys, NodeId n) {
 
 }  // namespace
 
+// The one CSR build.  for_each(f) replays the edges as lower-row pairs
+// f(v, w), w < v, in increasing v and then strictly increasing w; it runs
+// twice, once to count degrees into offsets_ and once to place.  Every row
+// comes out sorted without a per-row sort pass: row x gets its lower
+// neighbors from lower row x itself, in increasing order, before any later
+// row v > x appends x's higher neighbor v.  graph_core_test pins this
+// against a reference adjacency built with std::set.
+template <class ForEachLowerPair>
+void Graph::scatter(const ForEachLowerPair& for_each) {
+  offsets_.assign(static_cast<std::size_t>(n_) + 1, 0);
+  for_each([this](NodeId v, NodeId w) {
+    ++offsets_[static_cast<std::size_t>(v) + 1];
+    ++offsets_[static_cast<std::size_t>(w) + 1];
+  });
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  adjacency_.assign(offsets_[n_], 0);
+  // offsets_[x] is row x's write cursor and ends at row x's end, which is
+  // row x+1's start; one shift restores the row starts.
+  for_each([this](NodeId v, NodeId w) {
+    adjacency_[offsets_[v]++] = w;
+    adjacency_[offsets_[w]++] = v;
+  });
+  std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+  offsets_[0] = 0;
+}
+
 Graph::Graph(NodeId n, const std::vector<Edge>& edges) : n_(n) {
   std::vector<std::uint64_t> keys;
   keys.reserve(edges.size());
   for (const auto& [u, v] : edges) {
     DHC_REQUIRE(u < n && v < n, "edge (" << u << "," << v << ") outside node range [0," << n << ")");
     DHC_REQUIRE(u != v, "self-loop at node " << u);
-    keys.push_back((std::uint64_t{std::min(u, v)} << 32) | std::max(u, v));
+    keys.push_back((std::uint64_t{std::max(u, v)} << 32) | std::min(u, v));
   }
   sort_keys(keys, n);
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<Edge> canonical;
-  canonical.reserve(keys.size());
-  for (const auto k : keys) {
-    canonical.emplace_back(static_cast<NodeId>(k >> 32), static_cast<NodeId>(k));
-  }
+  scatter([&keys](const auto& f) {
+    for (const auto k : keys) f(static_cast<NodeId>(k >> 32), static_cast<NodeId>(k));
+  });
+}
 
-  std::vector<std::uint64_t> degree(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : canonical) {
-    ++degree[static_cast<std::size_t>(u) + 1];
-    ++degree[static_cast<std::size_t>(v) + 1];
+Graph Graph::from_lower_rows(NodeId n, std::span<const std::uint64_t> row_offsets,
+                             std::span<const NodeId> lower) {
+  DHC_REQUIRE(row_offsets.size() == static_cast<std::size_t>(n) + 1 && row_offsets.front() == 0 &&
+                  row_offsets.back() == lower.size(),
+              row_offsets.size() << " row offsets do not frame " << lower.size()
+                                 << " entries on " << n << " nodes");
+  for (NodeId v = 0; v < n; ++v) {
+    DHC_REQUIRE(row_offsets[v] <= row_offsets[v + 1], "lower row " << v << " ends before it starts");
+    for (auto i = row_offsets[v]; i < row_offsets[v + 1]; ++i) {
+      DHC_REQUIRE(lower[i] < v && (i == row_offsets[v] || lower[i - 1] < lower[i]),
+                  "lower row " << v << " is not strictly increasing below " << v << " at entry "
+                               << lower[i]);
+    }
   }
-  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (std::size_t i = 1; i <= n; ++i) offsets_[i] = offsets_[i - 1] + degree[i];
-
-  adjacency_.assign(offsets_[n], 0);
-  std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  // Scattering the (u, v)-sorted canonical list fills every row in sorted
-  // order without a per-row sort pass: node w's lower neighbors arrive from
-  // edges (u, w) in increasing u, all of which precede every edge (w, x)
-  // (first component u < w), whose increasing-x order appends the higher
-  // neighbors.  graph_core_test pins this invariant against a reference
-  // adjacency built with std::set.
-  for (const auto& [u, v] : canonical) {
-    adjacency_[cursor[u]++] = v;
-    adjacency_[cursor[v]++] = u;
-  }
+  Graph g(n);
+  g.scatter([&](const auto& f) {
+    for (NodeId v = 0; v < n; ++v) {
+      for (auto i = row_offsets[v]; i < row_offsets[v + 1]; ++i) f(v, lower[i]);
+    }
+  });
+  return g;
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
@@ -100,29 +125,6 @@ std::size_t Graph::max_degree() const {
   std::size_t best = 0;
   for (NodeId v = 0; v < n_; ++v) best = std::max(best, degree(v));
   return best;
-}
-
-InducedSubgraph induced_subgraph(const Graph& g, std::span<const NodeId> nodes) {
-  std::vector<NodeId> to_original(nodes.begin(), nodes.end());
-  std::vector<NodeId> to_new(g.n(), static_cast<NodeId>(-1));
-  for (std::size_t i = 0; i < to_original.size(); ++i) {
-    const NodeId old_id = to_original[i];
-    DHC_REQUIRE(old_id < g.n(), "induced_subgraph: node " << old_id << " out of range");
-    DHC_REQUIRE(to_new[old_id] == static_cast<NodeId>(-1),
-                "induced_subgraph: duplicate node " << old_id);
-    to_new[old_id] = static_cast<NodeId>(i);
-  }
-  std::vector<Edge> edges;
-  for (std::size_t i = 0; i < to_original.size(); ++i) {
-    for (NodeId w : g.neighbors(to_original[i])) {
-      const NodeId j = to_new[w];
-      if (j != static_cast<NodeId>(-1) && static_cast<NodeId>(i) < j) {
-        edges.emplace_back(static_cast<NodeId>(i), j);
-      }
-    }
-  }
-  return InducedSubgraph{Graph(static_cast<NodeId>(to_original.size()), edges),
-                         std::move(to_original)};
 }
 
 }  // namespace dhc::graph

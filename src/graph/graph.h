@@ -2,9 +2,10 @@
 //
 // This is the substrate every other subsystem builds on: the CONGEST
 // simulator walks neighbor spans when delivering messages, the generators
-// produce edge lists that are frozen into a Graph, and the verifier checks
-// cycle edges against has_edge().  Neighbor lists are sorted, so adjacency
-// queries are O(log deg) and iteration order is deterministic.
+// write lower rows (each edge once, in the row of its larger end) that one
+// counting scatter turns into a Graph, and the verifier checks cycle edges
+// against has_edge().  Neighbor lists are sorted, so adjacency queries are
+// O(log deg) and iteration order is deterministic.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +28,14 @@ class Graph {
   /// Builds a graph on `n` nodes from an edge list.  Self-loops are
   /// rejected; duplicate edges (in either orientation) are merged.
   Graph(NodeId n, const std::vector<Edge>& edges);
+
+  /// Builds a graph on `n` nodes from its lower rows: row v is
+  /// lower[row_offsets[v] .. row_offsets[v+1]) and lists v's neighbors
+  /// w < v in strictly increasing order, so each edge appears once, in the
+  /// row of its larger end.  row_offsets has n+1 entries, from 0 to
+  /// lower.size().  G(n, p) and G(n, M) sample straight into this form.
+  static Graph from_lower_rows(NodeId n, std::span<const std::uint64_t> row_offsets,
+                               std::span<const NodeId> lower);
 
   /// Number of nodes.
   NodeId n() const { return n_; }
@@ -74,18 +83,13 @@ class Graph {
   std::size_t max_degree() const;
 
  private:
+  explicit Graph(NodeId n) : n_(n) {}
+  template <class ForEachLowerPair>
+  void scatter(const ForEachLowerPair& for_each);
+
   NodeId n_;
   std::vector<std::uint64_t> offsets_;  // n+1 entries
   std::vector<NodeId> adjacency_;       // 2m entries, sorted per node
 };
-
-/// The subgraph induced by `nodes` (which must be distinct, valid ids).
-/// Returns the new graph plus the mapping new-id -> old-id; new ids follow
-/// the order of `nodes`.
-struct InducedSubgraph {
-  Graph graph;
-  std::vector<NodeId> to_original;
-};
-InducedSubgraph induced_subgraph(const Graph& g, std::span<const NodeId> nodes);
 
 }  // namespace dhc::graph
