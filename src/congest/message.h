@@ -32,6 +32,11 @@ inline constexpr std::size_t kMaxWords = 4;
 /// bounded by n or the round limit, so one word is 32 bits: a wider word
 /// would already break the CONGEST budget (NodeId is 32-bit and a word costs
 /// ⌈log₂ n⌉ bits).  make() enforces both the word count and the word range.
+///
+/// `from` and `to` are stamped by the engine at send time.  `to` is
+/// meaningful on the send side only: a delivered message is the sender's
+/// log record itself, its receiver is the reading node (Context::self()),
+/// and a multicast record's `to` reads kNoNode.
 struct Message {
   NodeId from = kNoNode;
   NodeId to = kNoNode;

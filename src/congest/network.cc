@@ -78,12 +78,13 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg) : graph_(&g), cfg_(cf
   inbox_len_.assign(n, 0);
   inbox_cursor_.assign(n, 0);
   has_mail_.assign(n, 0);
-  // Directed-edge round tags, indexed by the graph's CSR layout: the edge id
-  // of u→v is row_offsets[u] + neighbor_rank(u, v).
+  const std::size_t max_degree = g.max_degree();
+  for (ShardState& sh : shard_state_) sh.rank_step.assign(max_degree, 0);
+  // Directed-edge ids follow the graph's CSR layout: the edge id of u→v is
+  // row_offsets[u] + neighbor_rank(u, v).
   const auto offsets = g.row_offsets();
   edge_offsets_.assign(offsets.begin(), offsets.end());
   const std::size_t total_directed = edge_offsets_.empty() ? 0 : edge_offsets_.back();
-  edge_round_.assign(total_directed, static_cast<std::uint64_t>(-1));
 
   faults_ = cfg_.faults;
   if (faults_ != nullptr) {
@@ -356,19 +357,18 @@ void Network::deliver_and_build_active_set() {
   if (faults_ != nullptr && faults_->crashes_active()) filter_crashed_active();
 
   // Stable scatter: the shard logs in shard order are the global send order
-  // (DESIGN.md §5), which becomes per-node arrival order.  After a sharded
-  // round the pool scatters too: lane i owns the receivers in
-  // [n·i/s, n·(i+1)/s) and walks every log in that same order, so each
-  // inbox is written by one lane, in global send order.
+  // (DESIGN.md §5), which becomes per-node arrival order.  Each receiver's
+  // slot gets a reference to the log record — one pointer per receiver, not
+  // a copy.  After a sharded round the pool scatters too: lane i owns the
+  // receivers in [n·i/s, n·(i+1)/s) and walks every log in that same order,
+  // so each inbox is written by one lane, in global send order.
   inbox_live_ = parked_;
   if (inbox_arena_.size() < parked_) inbox_arena_.resize(parked_);
   if (parked_ != 0) {
     const auto scatter = [&](NodeId lo, NodeId hi) {
       for (const ShardState& sh : shard_state_) {
         expand_log(sh, lo, hi, [&](const Message& m, NodeId to, std::size_t) {
-          Message& slot = inbox_arena_[inbox_cursor_[to]++];
-          slot = m;
-          slot.to = to;
+          inbox_arena_[inbox_cursor_[to]++] = &m;
         });
       }
     };
@@ -382,7 +382,10 @@ void Network::deliver_and_build_active_set() {
     } else {
       scatter(0, n);
     }
+    // The swap moves each log's buffer, not its records, so the references
+    // stay valid while this round's steps append to the emptied outbox.
     for (ShardState& sh : shard_state_) {
+      sh.outbox.swap(sh.delivered);
       sh.outbox.clear();
       sh.ranks.clear();
     }

@@ -12,11 +12,14 @@
 // log — a multicast, one record for all its receivers plus a 4-byte rank
 // list; at the next round's delivery the logs are expanded in shard order —
 // stably, so per-node arrival order is the global send order — into a flat
-// inbox arena in which every active node owns one contiguous slice.  inbox()
-// is a span over that slice.  Wake-ups (and, under async delivery, pending
-// messages) live in a RoundWheel (congest/round_wheel.h): one bucket per
-// upcoming round, far-future items in an ordered far tier.  All arenas and
-// wheel chunks are reused across rounds.
+// inbox arena of references to the log records, in which every active node
+// owns one contiguous slice.  The delivered logs are kept for the round that
+// reads them while the round's own sends fill the other buffer of each
+// shard.  inbox() is a range over the node's slice that yields the records
+// themselves.  Wake-ups (and, under async delivery, pending messages) live
+// in a RoundWheel (congest/round_wheel.h): one bucket per upcoming round,
+// far-future items in an ordered far tier.  All arenas and wheel chunks are
+// reused across rounds.
 //
 // One round engine (DESIGN.md §5): every round steps the id-sorted active
 // set into shard logs — sends, wake-ups, observer events — and a serial
@@ -80,9 +83,11 @@ namespace internal {
 /// Thread-local log of one shard's round: sends, wake-ups, observer events,
 /// and the shard's slice of the global counters.  Merged serially in shard
 /// order after the round's steps and cleared (capacity kept); on synchronous
-/// runs the outbox instead stays parked until the next delivery scatters it
-/// straight into the inbox arena.  Cache-line aligned so neighboring shards'
-/// counters never share a line.
+/// runs the outbox instead stays parked until the next delivery scatters
+/// references to its records into the inbox arena and swaps it into
+/// `delivered`, where the records stay put while the next round, which reads
+/// them, appends to the emptied other buffer.  Cache-line aligned so
+/// neighboring shards' counters never share a line.
 ///
 /// An outbox record with `to == kNoNode` is a multicast: it goes to several
 /// neighbors of `from`, listed in `ranks` (one entry per multicast record,
@@ -90,11 +95,18 @@ namespace internal {
 /// ranks — no ranks when the count is the full degree.
 struct alignas(64) ShardState {
   std::vector<Message> outbox;
+  std::vector<Message> delivered;  // last round's outbox: what the inboxes point into
   std::vector<std::uint32_t> ranks;
   std::vector<std::pair<std::uint64_t, NodeId>> wakeups;  // (delay, node)
   std::vector<SendEvent> events;  // populated only when an observer is attached
   std::uint64_t messages = 0;
   std::uint64_t bits = 0;
+
+  // Synchronous capacity check: rank_step[i] == step iff the node stepping
+  // on this shard has already sent on its i-th edge.  A node steps at most
+  // once per round, so one message per edge per step is one per round.
+  std::vector<std::uint64_t> rank_step;  // max-degree entries
+  std::uint64_t step = 0;                // bumped by every Context
 };
 
 }  // namespace internal
@@ -175,6 +187,37 @@ struct AllNeighbors {
 /// arbitration and the artifact headers agree with what the simulator runs.
 std::uint32_t default_shards();
 
+/// A node's messages for this round, in send order: a range of references
+/// into the log records their senders wrote last round (valid until the
+/// node's step returns).  Yields `const Message&`.
+class Inbox {
+ public:
+  class iterator {
+   public:
+    explicit iterator(const Message* const* p) : p_(p) {}
+    const Message& operator*() const { return **p_; }
+    iterator& operator++() {
+      ++p_;
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const Message* const* p_;
+  };
+
+  Inbox(const Message* const* first, std::size_t size) : first_(first), size_(size) {}
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Message& operator[](std::size_t i) const { return *first_[i]; }
+  iterator begin() const { return iterator(first_); }
+  iterator end() const { return iterator(first_ + size_); }
+
+ private:
+  const Message* const* first_;
+  std::size_t size_;
+};
+
 /// Per-node view handed to protocol code during a round.  Exposes only what
 /// a real node would have: its id, its neighbors, this round's inbox, its
 /// private RNG stream, and the ability to send to neighbors / schedule its
@@ -187,8 +230,9 @@ class Context {
   std::size_t degree() const { return neighbors().size(); }
 
   /// Messages delivered to this node at the start of this round, in send
-  /// order (a contiguous slice of the round's inbox arena).
-  std::span<const Message> inbox() const;
+  /// order.  A delivered message's receiver is self(): its `to` field is
+  /// meaningful on the send side only (a multicast record reads kNoNode).
+  Inbox inbox() const;
 
   /// Sends `msg` to neighbor `to` (delivered next round).  Throws
   /// CongestViolation if `to` is not a neighbor or the edge already carried
@@ -224,7 +268,9 @@ class Context {
  private:
   friend class Network;
   Context(Network& net, NodeId self, internal::ShardState& shard)
-      : net_(net), self_(self), shard_(shard) {}
+      : net_(net), self_(self), shard_(shard) {
+    ++shard.step;
+  }
   Network& net_;
   NodeId self_;
   internal::ShardState& shard_;  // the log this step writes to
@@ -340,15 +386,15 @@ class Network {
   /// shard 0's log (stripping the frame header), applying crash-receiver
   /// drops and the receiver-side first-touch bookkeeping that the
   /// synchronous merge does at send time.  The log is empty here: async
-  /// merges file every send into the delivery wheel.
+  /// merges file every send into the delivery wheel.  The scatter then
+  /// delivers the staged records by reference, like synchronous sends.
   void mature_async_messages();
   /// Drops crashed nodes from the freshly built active set (serial pass).
   void filter_crashed_active();
 
   void send_from(ShardState& sh, NodeId from, NodeId to, const Message& msg);
   void send_ranked(ShardState& sh, NodeId from, std::size_t rank, const Message& msg);
-  void commit_send(ShardState& sh, NodeId from, NodeId to, std::size_t edge_id,
-                   const Message& msg);
+  void commit_send(ShardState& sh, NodeId from, NodeId to, std::size_t rank, const Message& msg);
   template <class Keep>
   std::size_t multicast_from(ShardState& sh, NodeId from, const Message& msg, Keep& keep);
   /// Calls visit(msg, to, edge_id) for every message of `sh`'s log whose
@@ -371,11 +417,12 @@ class Network {
   std::uint64_t round_ = 0;
   std::uint64_t bits_per_word_ = 1;  // ⌈log₂ n⌉, hoisted out of the send path
 
-  // Message arenas (double-buffered): sends append to the shard logs;
-  // delivery scatters the logs, in shard order, into inbox_arena_, one
-  // contiguous slice per receiving node.
-  std::size_t parked_ = 0;            // messages parked in the shard logs
-  std::vector<Message> inbox_arena_;  // this round's inboxes, grouped by node
+  // Message arenas: sends append to the shard logs; delivery scatters
+  // references to the log records, in shard order, into inbox_arena_, one
+  // contiguous slice per receiving node, and double-buffers each log into
+  // its `delivered` vector so the records outlive the round's own sends.
+  std::size_t parked_ = 0;                   // messages parked in the shard logs
+  std::vector<const Message*> inbox_arena_;  // this round's inboxes, grouped by node
   std::vector<std::uint32_t> inbox_count_;   // per node: messages pending next round
   std::vector<std::uint32_t> inbox_off_;     // per node: slice start in inbox_arena_
   std::vector<std::uint32_t> inbox_len_;     // per node: slice length this round
@@ -383,7 +430,6 @@ class Network {
   std::vector<NodeId> next_active_;          // first-touch receivers of parked mail
   std::uint64_t inbox_live_ = 0;             // messages scattered this round (logical)
 
-  std::vector<std::uint64_t> edge_round_;   // per directed edge: last synchronous send round
   std::vector<std::size_t> edge_offsets_;  // node -> first directed-edge id
 
   std::vector<NodeId> active_;          // nodes to step this round
@@ -429,26 +475,25 @@ class Network {
 };
 
 // ---------------------------------------------------------------------------
-// Inline hot path.  One Context::send is one neighbor-rank lookup, one edge
-// round-tag check, metric bumps, and a single 28-byte append to the shard's
-// log — no intermediate Message copies and no per-message allocation once
-// the log has warmed up.  A multicast is the same per receiver minus the
+// Inline hot path.  One Context::send is one neighbor-rank lookup, one
+// per-step rank-tag check, metric bumps, and a single 28-byte append to the
+// shard's log — no intermediate Message copies and no per-message allocation
+// once the log has warmed up.  A multicast is the same per receiver minus the
 // append: one record for all of them, plus a 4-byte rank each.  The global
 // counters and the receiver-side bookkeeping go to the shard log and wait
-// for the merge; everything the send touches directly — the edge's round
-// tag and node_messages_sent[from] — is owned by the sending node and
-// therefore by exactly one shard.
+// for the merge; everything the send touches directly — the shard's rank
+// tags and node_messages_sent[from] — belongs to the sending node's shard.
 // ---------------------------------------------------------------------------
 
-inline void Network::commit_send(ShardState& sh, NodeId from, NodeId to,
-                                 std::size_t edge_id, const Message& msg) {
+inline void Network::commit_send(ShardState& sh, NodeId from, NodeId to, std::size_t rank,
+                                 const Message& msg) {
   // The one-message-per-edge-per-round discipline is a synchronous-schedule
   // invariant.  Under async delivery a node may legally answer several
   // delayed arrivals at once; excess sends serialize through the link's FIFO
   // queue (enqueue_async) instead of faulting.
   if (faults_ == nullptr) {
-    if (edge_round_[edge_id] == round_) throw_over_capacity(sh, from, to, msg);
-    edge_round_[edge_id] = round_;
+    if (sh.rank_step[rank] == sh.step) throw_over_capacity(sh, from, to, msg);
+    sh.rank_step[rank] = sh.step;
   }
   DHC_CHECK(msg.words <= kMaxWords, "message exceeds payload word limit");
 
@@ -465,22 +510,22 @@ inline void Network::commit_send(ShardState& sh, NodeId from, NodeId to,
 
 template <class Keep>
 std::size_t Network::multicast_from(ShardState& sh, NodeId from, const Message& msg, Keep& keep) {
-  // Bulk commit_send over the sender's contiguous edge range: the per-edge
-  // round tags are checked and set one by one (so the capacity check stays
-  // exact), the counters are bumped once, and the log gets one record.
+  // Bulk commit_send over the sender's ranks: the rank tags are checked and
+  // set one by one (so the capacity check stays exact), the counters are
+  // bumped once, and the log gets one record.
   DHC_CHECK(msg.words <= kMaxWords, "message exceeds payload word limit");
   const auto nb = graph_->neighbors(from);
-  std::uint64_t* const edge_round = edge_round_.data() + edge_offsets_[from];
+  std::uint64_t* const rank_step = sh.rank_step.data();
   const std::size_t header = sh.ranks.size();
   sh.ranks.push_back(0);
   for (std::size_t i = 0; i < nb.size(); ++i) {
     if (!keep(i, nb[i])) continue;
     if (faults_ == nullptr) {
-      if (edge_round[i] == round_) {
+      if (rank_step[i] == sh.step) {
         sh.ranks.resize(header);  // this record is not in the log yet
         throw_over_capacity(sh, from, nb[i], msg);
       }
-      edge_round[i] = round_;
+      rank_step[i] = sh.step;
     }
     sh.ranks.push_back(static_cast<std::uint32_t>(i));
     if (cfg_.observer != nullptr) sh.events.push_back({from, nb[i], round_});
@@ -504,14 +549,14 @@ std::size_t Network::multicast_from(ShardState& sh, NodeId from, const Message& 
 inline void Network::send_from(ShardState& sh, NodeId from, NodeId to, const Message& msg) {
   const std::size_t rank = graph_->neighbor_rank(from, to);
   if (rank == graph::Graph::kNoRank) throw_non_neighbor(from, to);
-  commit_send(sh, from, to, edge_offsets_[from] + rank, msg);
+  commit_send(sh, from, to, rank, msg);
 }
 
 inline void Network::send_ranked(ShardState& sh, NodeId from, std::size_t rank,
                                  const Message& msg) {
   const auto nb = graph_->neighbors(from);
   DHC_REQUIRE(rank < nb.size(), "send_to_rank: rank " << rank << " out of range for node " << from);
-  commit_send(sh, from, nb[rank], edge_offsets_[from] + rank, msg);
+  commit_send(sh, from, nb[rank], rank, msg);
 }
 
 inline std::uint64_t Context::round() const { return net_.round_; }
@@ -520,7 +565,7 @@ inline std::span<const NodeId> Context::neighbors() const {
   return net_.graph_->neighbors(self_);
 }
 
-inline std::span<const Message> Context::inbox() const {
+inline Inbox Context::inbox() const {
   return {net_.inbox_arena_.data() + net_.inbox_off_[self_], net_.inbox_len_[self_]};
 }
 

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "congest/fault_plan.h"
 #include "congest/network.h"
 #include "graph/generators.h"
 #include "per_node_journal.h"
@@ -354,6 +356,107 @@ TEST(ShardEngine, MailParkedInShardLogsAtTheRoundLimitIsLive) {
   ASSERT_TRUE(base.round_limit_live);
   ASSERT_GT(base.arena_bytes_peak, 0u);
   expect_parked_runs_match(g, 3, base);
+}
+
+// An inbox is a range of references into the log its senders wrote last
+// round, so it must survive the reading round's own sends — which append to
+// the other buffer of each shard log — however much they outgrow it.  Odd
+// rounds send little (a multicast to the even ranks plus a few unicasts),
+// even rounds a unicast on every edge, far more than any earlier log held.
+// Every step copies its inbox, sends, then re-reads the inbox and compares;
+// a reference into the buffer being written reads the new sends instead
+// (and fails loudly under ASan once that buffer reallocates).
+class OutgrowTheLog : public Protocol {
+ public:
+  OutgrowTheLog(NodeId n, std::uint64_t horizon)
+      : horizon_(horizon), received_(n, 0), mismatches_(n, 0) {}
+
+  void begin(Context& ctx) override { ctx.wake_in(1); }
+
+  void step(Context& ctx) override {
+    std::vector<Message> copy;
+    for (const Message& m : ctx.inbox()) copy.push_back(m);
+    if (ctx.round() <= horizon_) {
+      send_round(ctx);
+      ctx.wake_in(1);
+    }
+    const Inbox inbox = ctx.inbox();
+    std::uint64_t& bad = mismatches_[ctx.self()];
+    if (inbox.size() != copy.size()) ++bad;
+    for (std::size_t i = 0; i < copy.size() && i < inbox.size(); ++i) {
+      const Message& m = inbox[i];
+      if (m.from != copy[i].from || m.tag != copy[i].tag || m.words != copy[i].words ||
+          m.data != copy[i].data || m.data[0] != m.from) {
+        ++bad;
+      }
+    }
+    received_[ctx.self()] += copy.size();
+  }
+
+  std::uint64_t received() const {
+    return std::accumulate(received_.begin(), received_.end(), std::uint64_t{0});
+  }
+  std::uint64_t mismatches() const {
+    return std::accumulate(mismatches_.begin(), mismatches_.end(), std::uint64_t{0});
+  }
+
+ private:
+  static void send_round(Context& ctx) {
+    const auto payload = [&](std::uint16_t tag) {
+      return Message::make(tag, {ctx.self(), static_cast<std::int64_t>(ctx.round())});
+    };
+    if (ctx.round() % 2 == 1) {
+      ctx.multicast(payload(1), [](std::size_t rank, NodeId) { return rank % 2 == 0; });
+      for (std::size_t i = 1; i < ctx.degree() && i < 6; i += 2) ctx.send_to_rank(i, payload(2));
+    } else {
+      for (std::size_t i = 0; i < ctx.degree(); ++i) ctx.send_to_rank(i, payload(3));
+    }
+  }
+
+  std::uint64_t horizon_;
+  std::vector<std::uint64_t> received_;    // per node
+  std::vector<std::uint64_t> mismatches_;  // per node
+};
+
+// Runs OutgrowTheLog at shards 1 and 4 (grain 1) under `faults` (nullptr:
+// synchronous) and checks every re-read inbox against its copy.
+void expect_inboxes_outlive_sends(const FaultPlan* faults) {
+  support::Rng grng(5);
+  const Graph g = graph::gnp(80, 0.3, grng);
+  std::uint64_t received_at_one_shard = 0;
+  for (const std::uint32_t shards : {1u, 4u}) {
+    NetworkConfig cfg;
+    cfg.seed = 9;
+    cfg.shards = shards;
+    cfg.shard_grain = 1;
+    cfg.faults = faults;
+    Network net(g, cfg);
+    OutgrowTheLog protocol(g.n(), /*horizon=*/8);
+    const Metrics m = net.run(protocol);
+    ASSERT_FALSE(m.hit_round_limit) << "shards=" << shards;
+    EXPECT_EQ(protocol.mismatches(), 0u) << "shards=" << shards;
+    if (faults == nullptr) {
+      EXPECT_EQ(protocol.received(), m.messages) << "shards=" << shards;
+    } else {
+      EXPECT_GT(m.dropped_messages, 0u) << "shards=" << shards;
+      EXPECT_GT(m.retransmits, 0u) << "shards=" << shards;
+    }
+    if (shards == 1) received_at_one_shard = protocol.received();
+    EXPECT_GT(protocol.received(), 0u) << "shards=" << shards;
+    EXPECT_EQ(protocol.received(), received_at_one_shard) << "shards=" << shards;
+  }
+}
+
+TEST(ShardEngine, InboxOutlivesItsRoundsSends) { expect_inboxes_outlive_sends(nullptr); }
+
+// The async regime stages matured frames in shard 0's log, so the same
+// references must outlive the round's sends there too: fixed two-round
+// latency, drops, and the ack overlay's retransmits and standalone acks.
+TEST(ShardEngine, AsyncInboxOutlivesItsRoundsSends) {
+  FaultPlan plan(DelaySpec::parse("fixed:2"), 0.05, {}, /*fault_seed=*/13,
+                 /*round_limit=*/100000);
+  plan.set_reliability(ReliabilitySpec::parse("ack"), RtoSpec{});
+  expect_inboxes_outlive_sends(&plan);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
 // Cross-algorithm integration: every solver on the same instance must
-// produce a cycle that passes both the offline verifier and the in-model
-// distributed verifier; their costs must sit in the relationships the paper
-// claims (upcast root hotspot, fully-distributed memory profile, CONGEST
+// produce a cycle that passes the offline verifier; their costs must sit in
+// the relationships the paper claims (upcast root hotspot, fully-distributed memory profile, CONGEST
 // compliance everywhere).
 #include <gtest/gtest.h>
 
 #include "core/dhc1.h"
 #include "core/dhc2.h"
-#include "core/distributed_verify.h"
 #include "core/dra.h"
 #include "core/upcast.h"
 #include "graph/generators.h"
@@ -44,9 +42,6 @@ TEST_P(CrossAlgorithm, AllSolversAgreeOnSolvabilityAndVerify) {
     ASSERT_TRUE(r.success) << name << " seed=" << seed << ": " << r.failure_reason;
     // Offline check.
     EXPECT_TRUE(graph::verify_cycle_incidence(g, r.cycle).ok()) << name;
-    // In-model check.
-    const auto dv = run_distributed_verify(g, r.cycle, seed + 17);
-    EXPECT_TRUE(dv.accepted) << name << ": " << dv.reason;
     // Output convention: every node names exactly two incident edges.
     for (graph::NodeId v = 0; v < n; ++v) {
       const auto [a, b] = r.cycle.neighbors_of[v];
