@@ -408,12 +408,11 @@ void Network::sample_arenas() {
 void Network::step_active_set(Protocol& protocol) {
   // A pool dispatch costs a wake-up and a barrier; rounds too small to
   // amortize it step on the calling thread into shard 0.  The gate depends
-  // only on deterministic state — active-set size, shard knobs, and the
-  // protocol's phase — and both ways fill the logs in the same global send
-  // order, so the choice is invisible in every result.
+  // only on deterministic state — active-set size and shard knobs — and both
+  // ways fill the logs in the same global send order, so the choice is
+  // invisible in every result.
   last_round_sharded_ = shards_ > 1 &&
-                        active_.size() >= static_cast<std::size_t>(shards_) * shard_grain_ &&
-                        protocol.parallel_step_safe();
+                        active_.size() >= static_cast<std::size_t>(shards_) * shard_grain_;
   if (last_round_sharded_) {
     step_sharded(protocol);
   } else {

@@ -277,12 +277,14 @@ class Context {
 };
 
 /// A distributed algorithm run by the Network.  Implementations hold all
-/// per-node state (indexed by NodeId) and must only touch state of the node
-/// whose Context they are given — that discipline is what makes the
-/// simulation faithful to a message-passing execution, and what makes
-/// sharded rounds race-free.  Aggregate counters bumped inside step() must
-/// be atomic (their sums are order-independent); anything else shared and
-/// mutable disqualifies the affected rounds via parallel_step_safe().
+/// per-node state (indexed by NodeId), and step() touches only the state of
+/// the node whose Context it is given: what a node knows, it learned from
+/// the messages it received.  That one contract holds in every phase of
+/// every protocol; it is what makes the simulation faithful to a
+/// message-passing execution, and what makes every round safe to shard.
+/// Aggregate counters bumped inside step() are support::ShardCounters
+/// (their sums are order-independent); anything else shared, such as a
+/// stage flag, changes only in on_quiescence(), between rounds.
 class Protocol {
  public:
   virtual ~Protocol() = default;
@@ -300,13 +302,6 @@ class Protocol {
     (void)net;
     return false;
   }
-
-  /// Whether step() currently honors the per-node discipline above, queried
-  /// once per round (so phase flags flipped in on_quiescence are stable).
-  /// Protocols that route shared mutable state through plain members in
-  /// some phase (DHC1's hypernode walk) return false there; those rounds
-  /// step on the calling thread regardless of the shard count.
-  virtual bool parallel_step_safe() const { return true; }
 };
 
 /// The simulator.  Owns the message arenas, the wake-up and delivery

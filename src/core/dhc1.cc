@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "congest/setup.h"
+#include "support/atomic_stats.h"
 #include "support/require.h"
 
 namespace dhc::core {
@@ -83,16 +84,6 @@ class Dhc1Protocol : public congest::Protocol {
     } else if (stage_ != Stage::kDone) {
       phase2_step(ctx);
     }
-  }
-
-  bool parallel_step_safe() const override {
-    // Phase 1 (setup trees + per-partition DRA) honors the per-node
-    // discipline and shards cleanly — it also carries nearly all of DHC1's
-    // message volume.  Phase 2's hypernode walk deliberately coordinates
-    // through shared protocol scalars (head_, hyper_steps_, hyper_done_,
-    // the census results) as a simulator shortcut; those sparse rounds step
-    // sequentially under every shard count.
-    return stage_ == Stage::kPhase1;
   }
 
   bool on_quiescence(Network& net) override {
@@ -175,20 +166,19 @@ class Dhc1Protocol : public congest::Protocol {
     }
 
     // A hyper head woken by its settle timer acts now.
-    if (stage_ == Stage::kHyper && is_agent_[x] != 0 && hyper_done_ == 0 &&
-        head_ == phase1_.color(x) && ctx.inbox().empty() && hypindex_[x] != 0 &&
-        !succ_link_[x].valid()) {
+    if (stage_ == Stage::kHyper && is_agent_[x] != 0 && done_[x] == 0 && is_head_[x] != 0 &&
+        ctx.inbox().empty() && hypindex_[x] != 0 && !succ_link_[x].valid()) {
       fire(ctx);
     }
     // The first head bootstraps when woken after the census.
-    if (stage_ == Stage::kHyper && is_agent_[x] != 0 && hyper_done_ == 0 && hypindex_[x] == 0 &&
-        ctx.inbox().empty() && phase1_.color(x) == first_group_ && head_ == kNoHyper) {
-      if (k_live_ < 3) {
+    if (stage_ == Stage::kHyper && is_agent_[x] != 0 && done_[x] == 0 && hypindex_[x] == 0 &&
+        ctx.inbox().empty() && phase1_.color(x) == first_group_[x]) {
+      if (k_live_[x] < 3) {
         hyper_abort(ctx);
         return;
       }
       hypindex_[x] = 1;
-      head_ = phase1_.color(x);
+      is_head_[x] = 1;
       fire(ctx);
     }
   }
@@ -221,8 +211,8 @@ class Dhc1Protocol : public congest::Protocol {
           ctx, Message::make(kCountUp, {count, static_cast<std::int64_t>(min_group)}));
     } else {
       // Root: publish the census.
-      k_live_ = count;
-      first_group_ = min_group;
+      k_live_[x] = count;
+      first_group_[x] = min_group;
       phase1_.global_setup()->send_to_children(
           ctx, Message::make(kCountDown, {count, static_cast<std::int64_t>(min_group)}));
     }
@@ -256,8 +246,8 @@ class Dhc1Protocol : public congest::Protocol {
         break;
       }
       case kCountDown: {
-        k_live_ = static_cast<std::uint32_t>(msg.data[0]);
-        first_group_ = static_cast<std::uint32_t>(msg.data[1]);
+        k_live_[x] = static_cast<std::uint32_t>(msg.data[0]);
+        first_group_[x] = static_cast<std::uint32_t>(msg.data[1]);
         phase1_.global_setup()->send_to_children(ctx, msg);
         break;
       }
@@ -296,14 +286,14 @@ class Dhc1Protocol : public congest::Protocol {
         const Message join = Message::make(
             kHJoin, {msg.data[0], msg.data[1], from_hyper, msg.from});
         if (is_agent_[x] != 0) {
-          handle_join(ctx, join, /*entry_port=*/x);
+          handle_join(ctx, join);
         } else {
           ctx.send(partner_of_[x], join);
         }
         break;
       }
       case kHJoin:
-        handle_join(ctx, msg, /*entry_port=*/msg.from == partner_of_[x] ? partner_of_[x] : x);
+        handle_join(ctx, msg);
         break;
       case kHRejectToPort: {
         // Route the rejection back along the discovered edge.
@@ -315,7 +305,7 @@ class Dhc1Protocol : public congest::Protocol {
       case kHRejectBack: {
         if (is_agent_[x] != 0) {
           // The head retries with a fresh draw.
-          hyper_steps_ = static_cast<std::uint64_t>(msg.data[0]);
+          steps_[x] = static_cast<std::uint64_t>(msg.data[0]);
           succ_link_[x] = {};
           pend_link_[x] = {};
           fire(ctx);
@@ -331,7 +321,7 @@ class Dhc1Protocol : public congest::Protocol {
       }
       case kHSuccess: {
         phase1_.global_setup()->forward_on_tree(ctx, msg, msg.from);
-        hyper_done_ = 1;
+        done_[x] = 1;
         if (is_agent_[x] != 0 && agent_assigned_[x] == 0) {
           // Assignments leave next round: this round's tree forwards may
           // share an edge with the partner.
@@ -343,7 +333,7 @@ class Dhc1Protocol : public congest::Protocol {
       }
       case kHAbort: {
         phase1_.global_setup()->forward_on_tree(ctx, msg, msg.from);
-        hyper_done_ = 2;
+        done_[x] = 2;
         break;
       }
       case kHRestart: {
@@ -363,12 +353,12 @@ class Dhc1Protocol : public congest::Protocol {
   /// Head agent: ask the current exit port to draw an edge.
   void fire(Context& ctx) {
     const NodeId x = ctx.self();
-    if (hyper_steps_ >= hyper_budget()) {
+    if (steps_[x] >= hyper_budget(x)) {
       ++budget_aborts_;
       hyper_abort(ctx);
       return;
     }
-    hyper_steps_ += 1;
+    steps_[x] += 1;
     // Exit port: the port not used by the predecessor link; the first
     // hypernode (no pred) prefers its agent port, falling back to the
     // partner port when the agent port has no edges left.
@@ -380,7 +370,7 @@ class Dhc1Protocol : public congest::Protocol {
     }
     last_fire_port_[x] = exit;
     const auto pos = static_cast<std::int64_t>(hypindex_[x]);
-    const auto steps = static_cast<std::int64_t>(hyper_steps_);
+    const auto steps = static_cast<std::int64_t>(steps_[x]);
     if (exit == x) {
       fire_from_port(ctx, static_cast<std::uint32_t>(pos), static_cast<std::uint64_t>(steps));
     } else {
@@ -419,35 +409,34 @@ class Dhc1Protocol : public congest::Protocol {
     }
   }
 
-  /// Agent of hypernode j: a progress edge reached port `entry_port`.
-  void handle_join(Context& ctx, const Message& msg, NodeId entry_port) {
+  /// Agent of hypernode j: a progress edge reached one of its ports.
+  void handle_join(Context& ctx, const Message& msg) {
     const NodeId x = ctx.self();
-    if (hyper_done_ != 0) return;
+    if (done_[x] != 0) return;
     const auto pos = static_cast<std::uint32_t>(msg.data[0]);
     const auto steps = static_cast<std::uint64_t>(msg.data[1]);
     const auto from_hyper = static_cast<std::uint32_t>(msg.data[2]);
     const auto x_node = static_cast<NodeId>(msg.data[3]);
-    // entry_port: the port of this hypernode the edge landed on.  When the
-    // join was relayed by the partner, that port is the partner.
+    // y: the port of this hypernode the edge landed on.  When the join was
+    // relayed by the partner, that port is the partner.
     const NodeId y = (msg.tag == kHJoin && msg.from == partner_of_[x]) ? partner_of_[x] : x;
-    (void)entry_port;
 
     if (hypindex_[x] == 0) {
       // Extension: join the hyper path; this agent becomes the head.
       hypindex_[x] = pos + 1;
       pred_link_[x] = {from_hyper, y, x_node};
       succ_link_[x] = {};
-      head_ = phase1_.color(x);
-      hyper_steps_ = steps;
+      is_head_[x] = 1;
+      steps_[x] = steps;
       ++extensions_;
       fire(ctx);
       return;
     }
-    if (hypindex_[x] == 1 && pos == k_live_ && y != succ_link_[x].my_port) {
+    if (hypindex_[x] == 1 && pos == k_live_[x] && y != succ_link_[x].my_port) {
       // The hyper cycle closes on the first hypernode's free port.
       pred_link_[x] = {from_hyper, y, x_node};
-      hyper_steps_ = steps;
-      hyper_done_ = 1;
+      steps_[x] = steps;
+      done_[x] = 1;
       broadcast_global(ctx, Message::make(kHSuccess));
       agent_assigned_[x] = 1;
       agent_assigned_round_[x] = ctx.round();
@@ -478,7 +467,7 @@ class Dhc1Protocol : public congest::Protocol {
 
   void apply_hyper_rotation(Context& ctx, const Message& msg) {
     const NodeId x = ctx.self();
-    if (hyper_done_ != 0) return;
+    if (done_[x] != 0) return;
     const auto h = static_cast<std::uint32_t>(msg.data[0]);
     const auto j = static_cast<std::uint32_t>(msg.data[1]);
     const auto head_hyper = static_cast<std::uint32_t>(msg.data[2]);
@@ -490,15 +479,16 @@ class Dhc1Protocol : public congest::Protocol {
     if (head_hyper == phase1_.color(x)) pred_link_[x] = pend_link_[x];
     if (hypindex_[x] == h) {
       succ_link_[x] = {};
-      head_ = phase1_.color(x);
-      hyper_steps_ = seq;
+      is_head_[x] = 1;
+      steps_[x] = seq;
       ctx.wake_in(2ULL * phase1_.global_setup()->tree_depth(x) + 2);
     }
   }
 
   void hyper_abort(Context& ctx) {
-    if (hyper_done_ != 0) return;
-    if (hyper_attempt_ + 1 < kMaxHyperAttempts && k_live_ >= 3) {
+    const NodeId x = ctx.self();
+    if (done_[x] != 0) return;
+    if (attempt_[x] + 1 < kMaxHyperAttempts && k_live_[x] >= 3) {
       // Retry Phase 2 with fresh randomness: everyone resets hyper state
       // and ports refill their edge lists (the DRA restart trick, one
       // level up).
@@ -507,14 +497,13 @@ class Dhc1Protocol : public congest::Protocol {
       apply_hyper_restart(ctx);
       return;
     }
-    hyper_done_ = 2;
+    done_[x] = 2;
     broadcast_global(ctx, Message::make(kHAbort));
   }
 
+  /// Each node applies a restart once: the tree broadcast reaches it once.
   void apply_hyper_restart(Context& ctx) {
     const NodeId x = ctx.self();
-    if (restart_seen_[x] == hyper_restarts_) return;
-    restart_seen_[x] = hyper_restarts_;
     hypindex_[x] = 0;
     pred_link_[x] = {};
     succ_link_[x] = {};
@@ -523,14 +512,11 @@ class Dhc1Protocol : public congest::Protocol {
       port_unused_[x] = port_all_[x];
       last_progress_from_[x] = kNoNode;
     }
-    // Shared hyper bookkeeping resets with the first application.
-    if (head_ != kNoHyper || hyper_steps_ != 0) {
-      head_ = kNoHyper;
-      hyper_steps_ = 0;
-      hyper_attempt_ += 1;
-    }
+    is_head_[x] = 0;
+    steps_[x] = 0;
+    attempt_[x] += 1;
     // The first hypernode's agent re-bootstraps once the broadcast settles.
-    if (is_agent_[x] != 0 && phase1_.color(x) == first_group_) {
+    if (is_agent_[x] != 0 && phase1_.color(x) == first_group_[x]) {
       ctx.wake_in(2ULL * phase1_.global_setup()->tree_depth(x) + 2);
     }
   }
@@ -552,8 +538,8 @@ class Dhc1Protocol : public congest::Protocol {
     phase1_.global_setup()->forward_on_tree(ctx, msg, kNoNode);
   }
 
-  std::uint64_t hyper_budget() const {
-    const double k = std::max<double>(k_live_, 3.0);
+  std::uint64_t hyper_budget(NodeId x) const {
+    const double k = std::max<double>(k_live_[x], 3.0);
     return static_cast<std::uint64_t>(hyper_step_multiplier_ * k * std::log(k)) + 16;
   }
 
@@ -589,9 +575,6 @@ class Dhc1Protocol : public congest::Protocol {
   std::vector<NodeId> partner_of_;
   std::vector<std::vector<PortEdge>> port_unused_;
   std::vector<std::vector<PortEdge>> port_all_ = std::vector<std::vector<PortEdge>>(n_);
-  std::vector<std::uint32_t> restart_seen_ = std::vector<std::uint32_t>(n_, 0);
-  std::uint32_t hyper_attempt_ = 0;
-  std::uint32_t hyper_restarts_ = 0;
   std::vector<NodeId> last_progress_from_;
   std::vector<NodeId> assigned_remote_;
   std::vector<NodeId> last_fire_port_ = std::vector<NodeId>(n_, kNoNode);
@@ -603,23 +586,28 @@ class Dhc1Protocol : public congest::Protocol {
   std::vector<std::uint32_t> up_count_;
   std::vector<std::uint32_t> up_min_;
 
-  // Hyper-path bookkeeping (agent-side; single head at a time).
-  std::uint32_t k_live_ = 0;
-  std::uint32_t first_group_ = kNoHyper;
-  std::uint32_t head_ = kNoHyper;
-  std::uint64_t hyper_steps_ = 0;
-  std::uint8_t hyper_done_ = 0;  // 1 success, 2 abort
+  // What each node knows of the census and the walk, learned from the
+  // messages it received (kCountDown, the step counts the walk's messages
+  // carry, kHSuccess/kHAbort, kHRestart).
+  std::vector<std::uint32_t> k_live_ = std::vector<std::uint32_t>(n_, 0);
+  std::vector<std::uint32_t> first_group_ = std::vector<std::uint32_t>(n_, kNoHyper);
+  std::vector<std::uint8_t> is_head_ = std::vector<std::uint8_t>(n_, 0);  // cleared on restart
+  std::vector<std::uint64_t> steps_ = std::vector<std::uint64_t>(n_, 0);
+  std::vector<std::uint8_t> done_ = std::vector<std::uint8_t>(n_, 0);  // 1 success, 2 abort
+  std::vector<std::uint32_t> attempt_ = std::vector<std::uint32_t>(n_, 0);
+
   std::vector<std::uint8_t> agent_assigned_ = std::vector<std::uint8_t>(n_, 0);
   std::vector<std::uint64_t> agent_assigned_round_ = std::vector<std::uint64_t>(n_, 0);
   std::vector<std::uint8_t> pending_partner_ = std::vector<std::uint8_t>(n_, 0);
   std::vector<std::uint64_t> pending_partner_round_ = std::vector<std::uint64_t>(n_, 0);
 
   // Counters for the experiment harness.
-  std::uint64_t extensions_ = 0;
-  std::uint64_t rotations_ = 0;
-  std::uint64_t wrong_port_rejects_ = 0;
-  std::uint32_t starved_ = 0;
-  std::uint32_t budget_aborts_ = 0;
+  support::ShardCounter<std::uint64_t> extensions_ = 0;
+  support::ShardCounter<std::uint64_t> rotations_ = 0;
+  support::ShardCounter<std::uint64_t> wrong_port_rejects_ = 0;
+  support::ShardCounter<std::uint32_t> starved_ = 0;
+  support::ShardCounter<std::uint32_t> budget_aborts_ = 0;
+  support::ShardCounter<std::uint32_t> hyper_restarts_ = 0;
 };
 
 }  // namespace
@@ -642,9 +630,18 @@ Result run_dhc1(const graph::Graph& g, std::uint64_t seed, const Dhc1Config& cfg
   Dhc1Protocol protocol(n, num_colors, cfg);
   result.metrics = net.run(protocol);
 
+  // The walk's outcome, read from per-node state: the census every node
+  // heard, the step count of the last attempt, and success at some node.
+  const std::uint32_t last_attempt = std::ranges::max(protocol.attempt_);
+  std::uint64_t hyper_steps = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (protocol.attempt_[v] == last_attempt) {
+      hyper_steps = std::max(hyper_steps, protocol.steps_[v]);
+    }
+  }
   result.stats["num_colors"] = static_cast<double>(num_colors);
-  result.stats["live_hypernodes"] = static_cast<double>(protocol.k_live_);
-  result.stats["hyper_steps"] = static_cast<double>(protocol.hyper_steps_);
+  result.stats["live_hypernodes"] = static_cast<double>(std::ranges::max(protocol.k_live_));
+  result.stats["hyper_steps"] = static_cast<double>(hyper_steps);
   result.stats["hyper_rotations"] = static_cast<double>(protocol.rotations_);
   result.stats["hyper_extensions"] = static_cast<double>(protocol.extensions_);
   result.stats["wrong_port_rejects"] = static_cast<double>(protocol.wrong_port_rejects_);
@@ -656,7 +653,7 @@ Result run_dhc1(const graph::Graph& g, std::uint64_t seed, const Dhc1Config& cfg
   }
 
   std::string failure = protocol.phase1_.failure();
-  if (failure.empty() && protocol.hyper_done_ != 1) {
+  if (failure.empty() && std::ranges::find(protocol.done_, 1) == protocol.done_.end()) {
     failure = "Phase 2 failed: hypernode rotation aborted";
   }
   conclude(result, g, failure, [&] { return protocol.final_incidence(); });

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
+#include "congest/trace_sink.h"
 #include "graph/generators.h"
 
 namespace dhc::core {
@@ -131,6 +134,52 @@ TEST(Dhc1, SharesDhc2PhaseOne) {
       EXPECT_EQ(r1.stat("global_tree_depth"), r2.stat("global_tree_depth"))
           << "n=" << n << " seed=" << seed;
     }
+  }
+}
+
+/// Counts the rounds of the "hyper" phase that ran on the shard pool.
+class HyperShardedRounds : public congest::TraceSink {
+ public:
+  void on_phase(const std::string& label, std::uint64_t) override { in_hyper_ = label == "hyper"; }
+  void on_round(const congest::RoundTrace& t) override {
+    if (in_hyper_ && t.sharded) ++count;
+  }
+  void on_barrier(std::uint64_t, std::uint64_t) override {}
+  std::uint64_t count = 0;
+
+ private:
+  bool in_hyper_ = false;
+};
+
+TEST(Dhc1, PhaseTwoStepsOnTheShardPool) {
+  // Phase 2 keeps per-node state only, so its rounds shard like every other
+  // phase's, and the result is the one shards = 1 gives.  Grain 1 via the
+  // environment, as CongestGolden.ShardInvarianceAcrossTheGrid sets it.
+  const char* old_grain = std::getenv("DHC_SHARD_GRAIN");
+  setenv("DHC_SHARD_GRAIN", "1", /*overwrite=*/1);
+
+  for (const graph::NodeId n : {256u, 1024u}) {
+    const Graph g = dhc1_gnp(n, 2.5, 9);
+    Dhc1Config serial;
+    serial.shards = 1;
+    const auto base = run_dhc1(g, 41, serial);
+    ASSERT_TRUE(base.success) << "n=" << n << ": " << base.failure_reason;
+
+    HyperShardedRounds sink;
+    Dhc1Config sharded;
+    sharded.shards = 4;
+    sharded.trace = &sink;
+    const auto r = run_dhc1(g, 41, sharded);
+    EXPECT_GT(sink.count, 0u) << "n=" << n;
+    EXPECT_TRUE(r.metrics == base.metrics) << "n=" << n;
+    EXPECT_EQ(r.stats, base.stats) << "n=" << n;
+    EXPECT_EQ(r.cycle.neighbors_of, base.cycle.neighbors_of) << "n=" << n;
+  }
+
+  if (old_grain == nullptr) {
+    unsetenv("DHC_SHARD_GRAIN");
+  } else {
+    setenv("DHC_SHARD_GRAIN", old_grain, 1);
   }
 }
 

@@ -78,8 +78,8 @@ struct AllowlistEntry {
 
 struct Options {
   /// A file whose path contains any of these markers is on the "step path":
-  /// code executed (or reachable) inside Protocol::step / parallel_step_safe,
-  /// where R2 is a hard hazard and R5 applies.
+  /// code executed (or reachable) inside Protocol::step, which every round
+  /// may run on several shards at once; R2 is a hard hazard and R5 applies.
   std::vector<std::string> step_path_markers = {
       "src/core/", "src/congest/", "src/kmachine/", "src/async/", "src/trace/"};
   std::vector<AllowlistEntry> allowlist;
