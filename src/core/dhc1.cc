@@ -266,7 +266,6 @@ class Dhc1Protocol : public congest::Protocol {
         break;
       }
       case kFireEmpty: {
-        ++starved_;
         hyper_abort(ctx);
         break;
       }
@@ -354,7 +353,6 @@ class Dhc1Protocol : public congest::Protocol {
   void fire(Context& ctx) {
     const NodeId x = ctx.self();
     if (steps_[x] >= hyper_budget(x)) {
-      ++budget_aborts_;
       hyper_abort(ctx);
       return;
     }
@@ -385,7 +383,6 @@ class Dhc1Protocol : public congest::Protocol {
     auto& list = port_unused_[x];
     if (list.empty()) {
       if (agent == x) {
-        ++starved_;
         hyper_abort(ctx);
       } else {
         ctx.send(agent, Message::make(kFireEmpty));
@@ -605,8 +602,6 @@ class Dhc1Protocol : public congest::Protocol {
   support::ShardCounter<std::uint64_t> extensions_ = 0;
   support::ShardCounter<std::uint64_t> rotations_ = 0;
   support::ShardCounter<std::uint64_t> wrong_port_rejects_ = 0;
-  support::ShardCounter<std::uint32_t> starved_ = 0;
-  support::ShardCounter<std::uint32_t> budget_aborts_ = 0;
   support::ShardCounter<std::uint32_t> hyper_restarts_ = 0;
 };
 

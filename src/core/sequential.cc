@@ -92,9 +92,9 @@ RotationResult rotation_walk(const Graph& g, support::Rng& rng, const RotationCo
       result.cycle.order = path.to_vector();
       return result;
     }
-    // Rotation (paper Fig. 2): v1..vj vj+1..vh  →  v1..vj vh..vj+1.
-    path.rotate_suffix(j);
-    head = path.at(h);
+    // Rotation (paper Fig. 2): v1..vj vj+1..vh  →  v1..vj vh..vj+1; the
+    // new head is the old vj+1.
+    head = path.rotate_suffix(j);
     result.stats.rotations += 1;
   }
 

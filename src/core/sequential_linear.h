@@ -17,10 +17,10 @@
 //    uniform-among-unused scan when the row is mostly consumed.  The draw is
 //    uniform over unused incident edges either way.
 //
-// cre's working set is 2m bits + ~29 B/node on top of the (shared,
-// read-only) CSR.  Expected time is O(n log n) draws at the G(n, p)
-// densities the paper studies, which is what makes a verified n = 2^20 trial
-// fit beside the simulator in one machine.
+// cre's working set is 2m bits + 24 B/node (one packed PathTreap node) on
+// top of the (shared, read-only) CSR.  Expected time is O(n log n) draws at
+// the G(n, p) densities the paper studies, which is what makes a verified
+// n = 2^20 trial fit beside the simulator in one machine.
 #pragma once
 
 #include "core/sequential.h"

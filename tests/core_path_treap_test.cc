@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "support/rng.h"
@@ -44,23 +45,23 @@ TEST(PathTreap, RotateSuffixMatchesDefinition) {
   // Path 0 1 2 3 4 5; rotate at j=2 -> 0 1 5 4 3 2 (suffix reversed).
   PathTreap t(6);
   for (NodeId v = 0; v < 6; ++v) t.append(v);
-  t.rotate_suffix(2);
+  EXPECT_EQ(t.rotate_suffix(2), 2u);  // returns the new back (head)
   EXPECT_EQ(t.to_vector(), (std::vector<NodeId>{0, 1, 5, 4, 3, 2}));
-  EXPECT_EQ(t.at(6), 2u);  // new head
+  EXPECT_EQ(t.at(6), 2u);
   EXPECT_EQ(t.position(5), 3u);
 }
 
 TEST(PathTreap, RotateAtEndIsNoop) {
   PathTreap t(4);
   for (NodeId v = 0; v < 4; ++v) t.append(v);
-  t.rotate_suffix(4);
+  EXPECT_EQ(t.rotate_suffix(4), 3u);  // the back is unchanged
   EXPECT_EQ(t.to_vector(), (std::vector<NodeId>{0, 1, 2, 3}));
 }
 
 TEST(PathTreap, RotateWholePathReverses) {
   PathTreap t(4);
   for (NodeId v = 0; v < 4; ++v) t.append(v);
-  t.rotate_suffix(1);  // suffix 2..4 reversed: 0 3 2 1
+  EXPECT_EQ(t.rotate_suffix(1), 1u);  // suffix 2..4 reversed: 0 3 2 1
   EXPECT_EQ(t.to_vector(), (std::vector<NodeId>{0, 3, 2, 1}));
 }
 
@@ -97,8 +98,9 @@ TEST_P(TreapDifferential, MatchesNaiveModelUnderRandomOps) {
       model.push_back(v);
     } else {
       const auto j = static_cast<std::uint32_t>(1 + rng.below(model.size()));
-      treap.rotate_suffix(j);
+      const NodeId back = treap.rotate_suffix(j);
       std::reverse(model.begin() + j, model.end());
+      ASSERT_EQ(back, model.back()) << "op " << op << " j=" << j;
     }
     // Spot-check a few positions every iteration; full check periodically.
     const auto probe = static_cast<std::size_t>(rng.below(model.size()));
@@ -146,8 +148,9 @@ TEST_P(TreapRotationStress, FullSequenceMatchesModelAfterEveryOp) {
     } else {
       j = static_cast<std::uint32_t>(1 + rng.below(model.size()));
     }
-    treap.rotate_suffix(j);
+    const NodeId back = treap.rotate_suffix(j);
     std::reverse(model.begin() + j, model.end());
+    ASSERT_EQ(back, model.back()) << "op " << op << " j=" << j;
     ASSERT_EQ(treap.to_vector(), model) << "op " << op << " j=" << j;
     ASSERT_EQ(treap.size(), model.size());
     // Positions must agree with the sequence, not just the sequence itself.
@@ -157,6 +160,80 @@ TEST_P(TreapRotationStress, FullSequenceMatchesModelAfterEveryOp) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TreapRotationStress, ::testing::Range<std::uint64_t>(0, 6));
+
+// A deep tree at the cre-oracle size (n = 2^14): the walk's interleaving of
+// appends and rotations, with every rotation's returned back, spot positions
+// and a periodic full sequence checked against the vector model.
+TEST(PathTreap, DeepTreeMatchesModelUnderWalkLikeOps) {
+  support::Rng rng(0xdee9ULL);
+  const NodeId capacity = NodeId{1} << 14;
+  PathTreap treap(capacity, rng.next_u64());
+  std::vector<NodeId> order(capacity);
+  for (NodeId v = 0; v < capacity; ++v) order[v] = v;
+  rng.shuffle(std::span<NodeId>(order));
+  std::vector<NodeId> model;
+
+  std::size_t next = 0;
+  for (int op = 0; op < 6000; ++op) {
+    if (next < capacity && (model.size() < 2 || rng.bernoulli(0.5))) {
+      treap.append(order[next]);
+      model.push_back(order[next]);
+      ++next;
+    } else {
+      const auto j = static_cast<std::uint32_t>(1 + rng.below(model.size()));
+      const NodeId back = treap.rotate_suffix(j);
+      std::reverse(model.begin() + j, model.end());
+      ASSERT_EQ(back, model.back()) << "op " << op << " j=" << j;
+    }
+    const auto probe = static_cast<std::size_t>(rng.below(model.size()));
+    ASSERT_EQ(treap.position(model[probe]), probe + 1) << "op " << op;
+    ASSERT_EQ(treap.at(static_cast<std::uint32_t>(probe + 1)), model[probe]) << "op " << op;
+    if (op % 500 == 499) {
+      ASSERT_EQ(treap.size(), model.size());
+      ASSERT_EQ(treap.to_vector(), model) << "op " << op;
+    }
+  }
+  // Fill the path, then rotate the full path thousands of times.
+  for (; next < capacity; ++next) {
+    treap.append(order[next]);
+    model.push_back(order[next]);
+  }
+  for (int op = 0; op < 4000; ++op) {
+    const auto j = static_cast<std::uint32_t>(1 + rng.below(model.size()));
+    const NodeId back = treap.rotate_suffix(j);
+    std::reverse(model.begin() + j, model.end());
+    ASSERT_EQ(back, model.back()) << "op " << op << " j=" << j;
+    if (op % 500 == 499) {
+      ASSERT_EQ(treap.to_vector(), model) << "op " << op;
+    }
+  }
+  EXPECT_EQ(treap.to_vector(), model);
+}
+
+// position() and at() are queries: with lazy flips pending all over the
+// tree, calling them for every node must leave the sequence as it was.
+TEST(PathTreap, QueriesLeaveTheSequenceUnchanged) {
+  support::Rng rng(0x9e7ULL);
+  const NodeId capacity = 512;
+  PathTreap treap(capacity, rng.next_u64());
+  std::vector<NodeId> model;
+  for (NodeId v = 0; v < capacity; ++v) {
+    treap.append(v);
+    model.push_back(v);
+  }
+  for (int op = 0; op < 50; ++op) {
+    const auto j = static_cast<std::uint32_t>(1 + rng.below(model.size()));
+    treap.rotate_suffix(j);
+    std::reverse(model.begin() + j, model.end());
+    const std::vector<NodeId> before = treap.to_vector();
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(treap.position(model[i]), i + 1) << "op " << op;
+      ASSERT_EQ(treap.at(static_cast<std::uint32_t>(i + 1)), model[i]) << "op " << op;
+    }
+    ASSERT_EQ(treap.to_vector(), before) << "op " << op;
+    ASSERT_EQ(before, model) << "op " << op;
+  }
+}
 
 }  // namespace
 }  // namespace dhc::core
